@@ -6,10 +6,12 @@ the preprocessor that systematically fills it in (section 2.2). Subclassing
 :func:`~repro.core.fields.scalar` / :func:`~repro.core.fields.child` etc. is
 all a user does; at class-definition time the framework
 
-1. flattens the field schema (inherited fields first, mirroring the
+1. gives the class a fixed ``__slots__`` layout (one ``_f_<name>`` slot
+   per declared field, so instances carry no ``__dict__``),
+2. flattens the field schema (inherited fields first, mirroring the
    ``super().record()`` call order of the paper's generated Java methods),
-2. registers the class with the :mod:`~repro.core.registry`, and
-3. generates and compiles ``record``, ``fold``, ``restore_local`` and
+3. registers the class with the :mod:`~repro.core.registry`, and
+4. generates and compiles ``record``, ``fold``, ``restore_local`` and
    ``_init_defaults`` methods specialized to the class schema.
 
 The generated methods are exactly what the paper's preprocessor would
@@ -37,6 +39,7 @@ from typing import Any, ClassVar, Dict, List, Optional
 
 from repro.core.errors import SchemaError
 from repro.core.fields import FieldSpec, TrackedList, _FieldDescriptor
+from repro.core.ids import DEFAULT_ALLOCATOR
 from repro.core.info import CheckpointInfo
 from repro.core.registry import DEFAULT_REGISTRY, ClassRegistry
 from repro.core.streams import DataOutputStream
@@ -273,7 +276,32 @@ def _compile_method(cls_name: str, name: str, source: str):
     return function
 
 
-class Checkpointable:
+class _CheckpointableMeta(type):
+    """Gives every checkpointable class a fixed ``__slots__`` layout.
+
+    The slots of a class are the ``_f_<name>`` value slot of each field
+    it declares itself, plus any names its body lists in ``__slots__``
+    (transient attributes: never part of the schema, never recorded).
+    Instances therefore carry no per-object ``__dict__``, the analog of
+    the fixed field layout Java gives the paper's ``CheckpointInfo``
+    field, and an assignment to an undeclared attribute raises
+    :class:`AttributeError` instead of silently escaping the checkpoint.
+    """
+
+    def __new__(mcls, name, bases, namespace, **kwargs):
+        transient = namespace.get("__slots__", ())
+        if isinstance(transient, str):
+            transient = (transient,)
+        fields = tuple(
+            "_f_" + attr
+            for attr, value in namespace.items()
+            if isinstance(value, _FieldDescriptor)
+        )
+        namespace["__slots__"] = tuple(transient) + fields
+        return super().__new__(mcls, name, bases, namespace, **kwargs)
+
+
+class Checkpointable(metaclass=_CheckpointableMeta):
     """Base class for every object that participates in checkpointing.
 
     Subclasses declare their state with the descriptors from
@@ -284,7 +312,13 @@ class Checkpointable:
     Construction accepts keyword arguments naming declared fields::
 
         e = SEEntry(reads=[1, 2], writes=[3])
+
+    Instances are slot-backed (see :class:`_CheckpointableMeta`): declare
+    checkpointed state as fields, and list transient per-instance state
+    in the class body's ``__slots__``.
     """
+
+    __slots__ = ("_ckpt_info",)
 
     _ckpt_schema: ClassVar[List[FieldSpec]] = []
     _ckpt_serial: ClassVar[int] = -1
@@ -340,15 +374,17 @@ class Checkpointable:
             )
 
     def __init__(self, **field_values: Any) -> None:
-        self._ckpt_info = CheckpointInfo()
+        self._ckpt_info = CheckpointInfo(DEFAULT_ALLOCATOR.allocate(), True)
         self._init_defaults()
-        schema_names = {spec.name for spec in self._ckpt_schema}
-        for name, value in field_values.items():
-            if name not in schema_names:
-                raise SchemaError(
-                    f"{type(self).__name__} has no checkpointable field {name!r}"
-                )
-            setattr(self, name, value)
+        if field_values:
+            schema_names = {spec.name for spec in self._ckpt_schema}
+            for name, value in field_values.items():
+                if name not in schema_names:
+                    raise SchemaError(
+                        f"{type(self).__name__} has no checkpointable "
+                        f"field {name!r}"
+                    )
+                setattr(self, name, value)
 
     # -- the paper's Checkpointable interface ------------------------------
 

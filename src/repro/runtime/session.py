@@ -926,6 +926,7 @@ class CheckpointSession:
             chain = lineage.chain_indices(index)
             table = self.sink.materialize(index, self.class_registry)
             rebound = self._rebind_roots(table, roots)
+            self._reset_block_tiers()
             if self._oracle is not None:
                 # restore rewrote object state wholesale; the shadow follows
                 self._oracle.resync(self._resolve_roots(None))
@@ -1038,6 +1039,22 @@ class CheckpointSession:
             with self._state_lock:
                 self._roots = lambda: fixed
         return len(restored)
+
+    def _reset_block_tiers(self) -> None:
+        """Forget every bound strategy's block partition.
+
+        A partition's blocks hold the pre-restore roots, and through them
+        the whole replaced graph. Dropping them lets that graph be
+        collected once the roots are rebound; the next commit
+        re-partitions the restored graph, as it would have anyway
+        (restored objects never match the old roots by identity).
+        """
+        with self._state_lock:
+            strategies = [self._default, *self._phase_cache.values()]
+        for strategy in strategies:
+            tier = getattr(strategy, "tier", None)
+            if tier is not None:
+                tier.reset()
 
     @staticmethod
     def _auto_branch_name(

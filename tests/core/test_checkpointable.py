@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.checkpoint import Checkpoint, reset_flags
+from repro.core.checkpoint import Checkpoint, FullCheckpoint, reset_flags
 from repro.core.checkpointable import (
     Checkpointable,
     reflective_fold,
@@ -10,9 +10,10 @@ from repro.core.checkpointable import (
 )
 from repro.core.errors import SchemaError
 from repro.core.registry import DEFAULT_REGISTRY
+from repro.core.restore import state_digest
 from repro.core.streams import DataInputStream, DataOutputStream
 from tests.conftest import Leaf, Mid, Root, build_root, make_class
-from repro.core.fields import child, scalar
+from repro.core.fields import child, child_list, scalar
 
 
 class TestGeneratedMethods:
@@ -157,6 +158,60 @@ class TestBlankAndChildren:
     def test_get_checkpoint_info(self):
         leaf = Leaf()
         assert leaf.get_checkpoint_info() is leaf._ckpt_info
+
+
+class TestSlotLayout:
+    """Instances are slot-backed: declared fields plus transient slots."""
+
+    def test_instances_have_no_dict(self):
+        root = build_root()
+        for obj in (root, root.mid, root.mid.leaf, Leaf._blank(4242)):
+            assert not hasattr(obj, "__dict__")
+        assert Leaf.__slots__ == ("_f_value", "_f_weight", "_f_label", "_f_flag")
+
+    def test_undeclared_attribute_raises(self):
+        leaf = Leaf()
+        with pytest.raises(AttributeError):
+            leaf.colour = "red"
+
+    def test_class_body_slot_is_transient(self):
+        class CachedLeaf(Checkpointable):
+            __qualname__ = "CachedLeaf_slots"
+            __slots__ = ("cache",)
+            value = scalar("int")
+
+        assert [spec.name for spec in CachedLeaf._ckpt_schema] == ["value"]
+        plain = CachedLeaf(value=3)
+        cached = CachedLeaf(value=3)
+        reset_flags(cached)
+        cached.cache = {"anything": [1, 2]}
+        assert not cached._ckpt_info.modified
+        assert cached.cache == {"anything": [1, 2]}
+
+        def full_bytes(obj):
+            driver = FullCheckpoint()
+            driver.checkpoint(obj)
+            return driver.getvalue()[8:]  # payload after id | serial
+
+        assert full_bytes(cached) == full_bytes(plain)
+        assert state_digest(cached) == state_digest(plain)
+        with pytest.raises(SchemaError, match="no checkpointable field"):
+            CachedLeaf(cache=1)
+
+    def test_hand_written_init_keeps_subclass_defaults(self):
+        base = make_class("InitBase", a=scalar("int"))
+
+        class InitDerived(base):
+            __qualname__ = "InitDerived_slots"
+            label = scalar("str")
+            kids = child_list(Leaf)
+
+            def __init__(self, a):
+                super().__init__(a=a)
+
+        instance = InitDerived(5)
+        assert (instance.a, instance.label, list(instance.kids)) == (5, "", [])
+        assert instance._ckpt_info.modified
 
 
 class TestInheritance:

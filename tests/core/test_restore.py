@@ -35,6 +35,7 @@ class TestRestoreFull:
         table = restore_full(base)
         recovered = table[root._ckpt_info.object_id]
         assert structurally_equal(root, recovered, compare_ids=True)
+        assert state_digest(recovered) == state_digest(root)
         assert type(recovered) is Root
 
     def test_all_objects_restored(self, root):

@@ -1,10 +1,17 @@
 """Session time travel: restore-to-any-epoch, named pins, branching fork."""
 
+import gc
+
 import pytest
 
+from repro.core.blocks import Block
+from repro.core.checkpoint import Checkpoint, restore_flags, snapshot_flags
+from repro.core.checkpointable import Checkpointable
 from repro.core.errors import RestoreError, StorageError
+from repro.core.fields import child, scalar
 from repro.core.restore import state_digest
 from repro.core.storage import FULL, INCREMENTAL, MemoryStore
+from repro.core.streams import DataOutputStream
 from repro.runtime.policy import EpochPolicy
 from repro.runtime.session import CheckpointSession
 from repro.runtime.strategy import Strategy
@@ -127,6 +134,89 @@ class TestRestoreThenCommit:
         assert session.deltas_since_full == 2
         session.restore(0)
         assert session.deltas_since_full == 0
+
+
+class ReleaseCell(Checkpointable):
+    """Element class counted by the restore-release tests (used only there)."""
+
+    value = scalar("int")
+    next = child()
+
+
+class ReleaseChain(Checkpointable):
+    head = child(ReleaseCell)
+
+
+CHAINS, CHAIN_LENGTH = 40, 5
+
+
+def _differential_session():
+    """A differential session with a partitioned block tier, 3 epochs."""
+    roots = []
+    for _ in range(CHAINS):
+        node = None
+        for value in range(CHAIN_LENGTH):
+            node = ReleaseCell(value=value, next=node)
+        roots.append(ReleaseChain(head=node))
+    session = CheckpointSession(
+        roots=roots,
+        sink=MemoryStore(),
+        strategy="differential",
+        policy=EpochPolicy.delta_only(),
+    )
+    session.base()
+    for step in (1, 2):
+        for chain in roots[::7]:
+            chain.head.value += step
+        session.commit()
+    assert session.strategy_for().tier.partitioned
+    return session
+
+
+def _live_cells() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is ReleaseCell)
+
+
+def _stale_block_roots(session) -> list:
+    """Chains some live :class:`Block` holds that are not session roots."""
+    current = {id(root) for root in session.roots()}
+    return [
+        root
+        for obj in gc.get_objects()
+        if type(obj) is Block
+        for root in obj.roots
+        if type(root) is ReleaseChain and id(root) not in current
+    ]
+
+
+class TestRestoreReleasesOldGraph:
+    """Restore drops the block partition that pinned the replaced graph."""
+
+    @pytest.mark.parametrize("travel", ["restore", "fork"])
+    def test_one_live_graph_after_time_travel(self, travel):
+        session = _differential_session()
+        assert _live_cells() == CHAINS * CHAIN_LENGTH
+        if travel == "restore":
+            session.restore(1)
+        else:
+            session.fork(at=1)
+        assert _live_cells() == CHAINS * CHAIN_LENGTH
+        assert _stale_block_roots(session) == []
+
+        roots = session.roots()
+        for chain in roots[::5]:
+            chain.head.next.value += 100
+        flags = snapshot_flags(roots)
+        out = DataOutputStream()
+        driver = Checkpoint(out)
+        for root in roots:
+            driver.checkpoint(root)
+        restore_flags(flags)
+        assert session.commit().data == out.getvalue()
+        assert session.strategy_for().tier.partitioned
+        assert _stale_block_roots(session) == []
+        assert _live_cells() == CHAINS * CHAIN_LENGTH
 
 
 class TestNamedCheckpoints:
