@@ -181,7 +181,7 @@ def main() -> None:
             )
         print(f"  named pins: {session.named_checkpoints()}")
 
-        relaxed = session.sink.materialize("lint")[
+        relaxed = session.store.materialize("lint")[
             state._ckpt_info.object_id
         ]
         assert len(relaxed.warnings) <= strict_warnings

@@ -8,7 +8,7 @@ Demonstrates the durable substrate beneath the paper's scheme, driven
 entirely through the checkpoint runtime: the engine's
 :class:`~repro.runtime.session.CheckpointSession` drains every epoch (one
 base full checkpoint, then one incremental delta per analysis iteration)
-into a file-backed sink; we simulate a crash that tears the final epoch
+into a file-backed store; we simulate a crash that tears the final epoch
 mid-write, then recover in a "fresh process" and resume the analysis.
 Recovery discards the torn tail, restores the exact surviving state, and
 the resumed run converges from the restored intermediate results.
@@ -31,15 +31,15 @@ def main() -> None:
         division = image_division()
 
         # -- first run: analyse with persistent checkpoints ------------------
-        # The store becomes the session's sink; every epoch the engine
-        # commits flows through it.
+        # The engine's session commits every epoch straight into this
+        # store.
         store = FileStore(os.path.join(workdir, "checkpoints"))
         engine = AnalysisEngine(
             source, division=division, strategy="incremental", store=store
         )
         engine.run()
         digest_before = state_digest(engine.attributes, include_ids=True)
-        epochs = engine.session.sink.epochs()
+        epochs = engine.session.store.epochs()
         print(f"first run: {len(epochs)} epochs persisted "
               f"({sum(len(e.data) for e in epochs)} bytes, "
               f"{engine.session.deltas_since_full} deltas on the chain)")

@@ -15,16 +15,16 @@ Walks through the whole core API on a small order-book-like structure:
    session's recovery line.
 
 Everything flows through the session: the strategy (here the generic
-incremental driver) produces each epoch's bytes, and the sink — an
-in-process :class:`~repro.runtime.sink.BufferSink` — collects them the way
-a durable store would (swap in a directory path to persist across
-processes).
+incremental driver) produces each epoch's bytes, and the store — an
+in-process :class:`~repro.core.storage.MemoryStore` — keeps them the way
+a durable one would (pass a directory path as ``sink=`` instead to
+persist across processes).
 """
 
 from repro import (
-    BufferSink,
     CheckpointSession,
     Checkpointable,
+    MemoryStore,
     child,
     child_list,
     scalar,
@@ -74,7 +74,7 @@ def main() -> None:
     root_id = exchange.get_checkpoint_info().object_id
 
     # -- 2. open a session; the base records every reachable object ----------
-    session = CheckpointSession(roots=exchange, sink=BufferSink())
+    session = CheckpointSession(roots=exchange, sink=MemoryStore())
     base = session.base()
     print(f"base checkpoint: {base.size} bytes")
 
@@ -95,7 +95,7 @@ def main() -> None:
     print(f"delta with no modifications: {empty.size} bytes")
 
     # -- 4. crash and recover -------------------------------------------------
-    # The sink holds the recovery line: the base plus every delta after it.
+    # The store holds the recovery line: the base plus every delta after it.
     table = session.recover()
     recovered = table[root_id]
 

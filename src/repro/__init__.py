@@ -20,9 +20,9 @@ The package provides:
   pluggable :class:`~repro.runtime.strategy.StrategyRegistry` of
   checkpointing tiers with per-phase overrides, an
   :class:`~repro.runtime.policy.EpochPolicy` for full-vs-delta cadence and
-  automatic compaction, and :class:`~repro.runtime.sink.Sink` targets
-  unifying byte buffers, durable stores, and asynchronous writers behind
-  one ``commit()`` path.
+  automatic compaction, and one ``commit()`` path straight into any
+  :class:`~repro.core.storage.CheckpointStore` — in memory, on disk,
+  asynchronous, or replicated.
 - :mod:`repro.vm` — a metered abstract machine: exact operation-count models
   of every checkpointing variant plus cost profiles standing in for the
   paper's three execution environments (JDK 1.2 JIT, HotSpot, Harissa).
@@ -64,16 +64,12 @@ from repro.core.retry import RetryPolicy, RetryStats
 from repro.runtime import (
     DEFAULT_STRATEGIES,
     AutoSpecStrategy,
-    BufferSink,
     CheckpointSession,
     CommitReceipt,
     CommitResult,
     DriverStrategy,
     EpochPolicy,
-    NullSink,
-    Sink,
     SpecializedStrategy,
-    StoreSink,
     Strategy,
     StrategyRegistry,
 )
@@ -127,10 +123,6 @@ __all__ = [
     "EpochPolicy",
     "RetryPolicy",
     "RetryStats",
-    "Sink",
-    "NullSink",
-    "BufferSink",
-    "StoreSink",
     "Strategy",
     "DriverStrategy",
     "SpecializedStrategy",

@@ -810,7 +810,7 @@ def time_travel(
         # the deepest point of its 8-epoch chain
         capped_target = max_depth - 1
         wall = best_restore(capped, capped_target)
-        line = capped.sink.store.recovery_line(capped_target)
+        line = capped.store.recovery_line(capped_target)
         result.add_row(
             "restore(deep, periodic_full(8))",
             capped_target,
@@ -874,7 +874,6 @@ def replication(
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracer import MemoryExporter, Tracer
     from repro.runtime.session import CheckpointSession
-    from repro.runtime.sink import StoreSink
     from repro.synthetic.structures import build_structures, element_at
 
     count = _population(paper_scale, structures)
@@ -888,9 +887,9 @@ def replication(
             ("configuration", "epochs", "acked", "degraded", "wall (s)"),
         )
 
-        def run_commits(sink_store, label, store_handle=None):
+        def run_commits(store, label):
             roots = build_structures(3, 2, 3, 1)
-            session = CheckpointSession(roots=roots, sink=StoreSink(sink_store))
+            session = CheckpointSession(roots=roots, sink=store)
             start = time.perf_counter()
             session.base()
             for step in range(1, epoch_count):
@@ -898,10 +897,9 @@ def replication(
                 session.commit()
             session.flush()
             wall = time.perf_counter() - start
-            handle = store_handle or sink_store
-            last = getattr(handle, "last_commit", None) or {}
+            last = store.last_commit or {}
             status = (
-                getattr(handle, "replica_status", lambda: [])() or []
+                getattr(store, "replica_status", lambda: [])() or []
             )
             degraded = sum(1 for s in status if s["state"] != "healthy")
             result.add_row(

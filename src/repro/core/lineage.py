@@ -32,7 +32,7 @@ protected set
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.errors import StorageError
 
@@ -262,3 +262,58 @@ def resolve_parent(
             return parent, branch
         return parent, branch_of(parent)
     return None, branch or MAIN_BRANCH
+
+
+class LineageBook:
+    """The lineage bookkeeping a store keeps up to date on every append.
+
+    Branch tips and the newest epoch's branch resolve ``AUTO`` parents,
+    the per-epoch branch map gives an explicit parent's branch, and the
+    pin-name map keeps checkpoint names store-unique. Not thread-safe:
+    each store guards its book with its own lock.
+    """
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(
+        self, entries: Iterable[Tuple[int, str, Optional[str]]] = ()
+    ) -> None:
+        """Rebuild from ``(index, branch, name)`` triples in index order."""
+        #: branch -> newest epoch index on it
+        self.tips: Dict[str, int] = {}
+        #: checkpoint name -> the epoch index it pins
+        self.names: Dict[str, int] = {}
+        #: branch of the newest epoch (the default target of ``AUTO``)
+        self.last_branch: Optional[str] = None
+        self._branches: Dict[int, str] = {}
+        for index, branch, name in entries:
+            self.note(index, branch, name)
+
+    def resolve(
+        self, parent, branch: Optional[str], name: Optional[str]
+    ) -> Tuple[Optional[int], str]:
+        """Concrete ``(parent, branch)`` of an append; checks its pin name."""
+        if parent is not AUTO and parent is not None:
+            if parent not in self._branches:
+                raise StorageError(
+                    f"parent epoch {parent} does not exist in the store"
+                )
+        resolved = resolve_parent(
+            parent, branch, self.tips, self._branches.__getitem__,
+            self.last_branch,
+        )
+        if name is not None and name in self.names:
+            raise StorageError(
+                f"checkpoint name {name!r} already pins epoch "
+                f"{self.names[name]}"
+            )
+        return resolved
+
+    def note(self, index: int, branch: str, name: Optional[str]) -> None:
+        """Record the epoch just appended (or re-read) at ``index``."""
+        self._branches[index] = branch
+        self.tips[branch] = index
+        self.last_branch = branch
+        if name is not None:
+            self.names[name] = index

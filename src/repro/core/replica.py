@@ -667,10 +667,10 @@ class ReplicatedStore(CheckpointStore):
     # -- lifecycle --------------------------------------------------------
 
     def flush(self, timeout: Optional[float] = None) -> None:
-        """Repair behind/fenced replicas now and flush flushable children.
+        """Repair behind/fenced replicas now and flush every child.
 
-        ``timeout`` is forwarded to children that accept one; the
-        catch-up sweep itself is synchronous. Repair failures stay on
+        ``timeout`` is forwarded to each child's flush; the catch-up
+        sweep itself is synchronous. Repair failures stay on
         the breaker (they do not raise) — flush means "as durable as
         the healthy replica set allows", and the health state records
         who is not.
@@ -687,20 +687,13 @@ class ReplicatedStore(CheckpointStore):
                     rep.failures = 0
             stores = [rep.store for rep in self._states]
         for store in stores:
-            child_flush = getattr(store, "flush", None)
-            if callable(child_flush):
-                try:
-                    child_flush(timeout)
-                except TypeError:
-                    child_flush()
+            store.flush(timeout)
 
     def close(self) -> None:
         with self._lock:
             stores = [rep.store for rep in self._states]
         for store in stores:
-            child_close = getattr(store, "close", None)
-            if callable(child_close):
-                child_close()
+            store.close()
 
 
 class Scrubber:

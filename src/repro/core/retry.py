@@ -168,7 +168,7 @@ class RetryPolicy:
 
 @dataclass
 class RetryStats:
-    """Mutable retry accounting shared by a store/sink and its receipts."""
+    """Mutable retry accounting shared by a store/session and its receipts."""
 
     retries: int = 0
     #: human-readable notes of what was retried ("append retry 1: ...")

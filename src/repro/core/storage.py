@@ -34,7 +34,7 @@ from repro.core.lineage import (
     MAIN_BRANCH,
     EpochRef,
     Lineage,
-    resolve_parent,
+    LineageBook,
 )
 from repro.core.registry import DEFAULT_REGISTRY, ClassRegistry
 from repro.core.restore import ObjectTable, replay_epochs
@@ -75,6 +75,16 @@ class Epoch(NamedTuple):
     parent: Optional[int] = None
     branch: str = MAIN_BRANCH
     name: Optional[str] = None
+
+
+def _lineage_entry(epoch: Epoch) -> dict:
+    """The manifest lineage entry of ``epoch``."""
+    return {
+        "parent": epoch.parent,
+        "branch": epoch.branch,
+        "kind": epoch.kind,
+        "name": epoch.name,
+    }
 
 
 def _implied_lineage(index: int) -> dict:
@@ -152,6 +162,33 @@ class CheckpointStore:
         """The epoch graph of everything currently in the store."""
         return Lineage(self.epochs())
 
+    def durability(self) -> str:
+        """What :meth:`append` returning means for the epoch.
+
+        ``"durable"`` (synchronously persisted) for a plain store; an
+        asynchronous front reports ``"queued"`` and a replicated store
+        ``"quorum"`` when only a write quorum acked.
+        """
+        return "durable"
+
+    @property
+    def last_commit(self) -> Optional[dict]:
+        """Replica receipt of the newest append (``None``: not replicated)."""
+        return None
+
+    def flush(self, timeout: Optional[float] = None) -> None:
+        """Block until every appended epoch is durable (no-op by default)."""
+
+    def close(self) -> None:
+        """Release resources; no further appends (no-op by default)."""
+
+    def instrument(self, tracer, metrics) -> None:
+        """Attach a tracer/metrics pair (a plain store emits nothing)."""
+
+    def _compaction_store(self) -> "CheckpointStore":
+        """The store :func:`compact` appends to and deletes from."""
+        return self
+
     def recovery_line(self, at: Optional[EpochRef] = None) -> List[Epoch]:
         """The base chain of ``at`` (default: the newest epoch).
 
@@ -204,11 +241,8 @@ class MemoryStore(CheckpointStore):
 
     def __init__(self) -> None:
         self._epochs: List[Epoch] = []
-        # branch -> newest index, name -> index, branch of the newest
-        # epoch; all guarded by _lock alongside the epoch list itself
-        self._branch_tips: Dict[str, int] = {}
-        self._names: Dict[str, int] = {}
-        self._last_branch: Optional[str] = None
+        # guarded by _lock alongside the epoch list itself
+        self._book = LineageBook()
         #: divergent epochs set aside by :meth:`quarantine_epoch`
         self.quarantined: List[tuple] = []
         self._lock = threading.Lock()
@@ -226,39 +260,12 @@ class MemoryStore(CheckpointStore):
             raise StorageError(f"unknown checkpoint kind {kind!r}")
         with self._lock:
             index = len(self._epochs)
-            parent, branch = resolve_parent(
-                parent,
-                branch,
-                self._branch_tips,
-                self._branch_of,
-                self._last_branch,
-            )
-            if parent is not None and not 0 <= parent < index:
-                raise StorageError(
-                    f"parent epoch {parent} does not exist in the store"
-                )
-            if name is not None and name in self._names:
-                raise StorageError(
-                    f"checkpoint name {name!r} already pins epoch "
-                    f"{self._names[name]}"
-                )
+            parent, branch = self._book.resolve(parent, branch, name)
             self._epochs.append(
                 Epoch(index, kind, bytes(data), parent, branch, name)
             )
-            self._branch_tips[branch] = index
-            self._last_branch = branch
-            if name is not None:
-                self._names[name] = index
+            self._book.note(index, branch, name)
         return index
-
-    def _branch_of(self, index: int) -> str:
-        # caller holds _lock; a MemoryStore never deletes, so index is
-        # also the list position
-        if not 0 <= index < len(self._epochs):
-            raise StorageError(
-                f"parent epoch {index} does not exist in the store"
-            )
-        return self._epochs[index].branch
 
     def epochs(self) -> List[Epoch]:
         with self._lock:
@@ -287,7 +294,7 @@ class MemoryStore(CheckpointStore):
                         "(overwrite=True replaces it)"
                     )
                 self._epochs[epoch.index] = epoch
-            self._rebuild_maps()
+            self._book.reset((e.index, e.branch, e.name) for e in self._epochs)
 
     def quarantine_epoch(self, index: int, reason: str = "") -> Optional[str]:
         """Keep a copy of the divergent record aside; the slot stays.
@@ -301,17 +308,6 @@ class MemoryStore(CheckpointStore):
                 return None
             self.quarantined.append((index, reason, self._epochs[index]))
             return f"epoch-{index:06d} (copy kept in memory)"
-
-    def _rebuild_maps(self) -> None:
-        # caller holds _lock
-        self._branch_tips = {}
-        self._names = {}
-        self._last_branch = None
-        for epoch in self._epochs:
-            self._branch_tips[epoch.branch] = epoch.index
-            if epoch.name is not None:
-                self._names[epoch.name] = epoch.index
-            self._last_branch = epoch.branch
 
 
 class FileStore(CheckpointStore):
@@ -351,9 +347,7 @@ class FileStore(CheckpointStore):
         self.quarantined: List[str] = []
         #: index -> {"parent", "branch", "kind", "name"} (manifest v2)
         self._lineage: Dict[int, dict] = {}
-        self._branch_tips: Dict[str, int] = {}
-        self._names: Dict[str, int] = {}
-        self._last_branch: Optional[str] = None
+        self._book = LineageBook()
         os.makedirs(directory, exist_ok=True)
         self._quarantine_orphans()
         self._load_lineage()
@@ -397,15 +391,7 @@ class FileStore(CheckpointStore):
                 "kind": entry.get("kind"),
                 "name": entry.get("name"),
             }
-        for index in sorted(present):
-            meta = self._lineage.get(index) or _implied_lineage(index)
-            branch = meta["branch"]
-            tip = self._branch_tips.get(branch)
-            if tip is None or index > tip:
-                self._branch_tips[branch] = index
-            if meta.get("name") is not None:
-                self._names[meta["name"]] = index
-            self._last_branch = branch
+        self._rebuild_book()
 
     # -- paths --------------------------------------------------------------
 
@@ -472,80 +458,58 @@ class FileStore(CheckpointStore):
                     raise StorageError(
                         f"parent epoch {parent} does not exist in the store"
                     )
-            parent, branch = resolve_parent(
-                parent,
-                branch,
-                self._branch_tips,
-                self._branch_of,
-                self._last_branch,
-            )
-            if name is not None and name in self._names:
-                raise StorageError(
-                    f"checkpoint name {name!r} already pins epoch "
-                    f"{self._names[name]}"
-                )
-            entry = {
-                "parent": parent,
-                "branch": branch,
-                "kind": kind,
-                "name": name,
-            }
+            parent, branch = self._book.resolve(parent, branch, name)
+            epoch = Epoch(index, kind, bytes(data), parent, branch, name)
             # Lineage first, epoch second: every durable epoch then has
             # a durable lineage entry. The reverse order could leave an
             # epoch whose place in the graph nobody knows; this order
             # merely leaves a stale entry a reopen prunes.
-            self._lineage[index] = entry
+            self._lineage[index] = _lineage_entry(epoch)
             self._write_manifest()
-            plain = bytes(data)
-            if self.compress:
-                payload = zlib.compress(plain, level=6)
-                code = _COMPRESSED_CODES[kind]
-            else:
-                payload = plain
-                code = _KIND_CODES[kind]
-            header = _HEADER.pack(
-                _MAGIC, _VERSION, code, len(payload), zlib.crc32(payload)
-            )
-            path = self._epoch_path(index)
-            tmp_path = path + ".tmp"
             try:
-                with open(tmp_path, "wb") as handle:
-                    handle.write(header)
-                    handle.write(payload)
-                    handle.flush()
-                    # The index counter, the durable file, and the
-                    # verified-cache entry must appear atomically or a
-                    # concurrent append could reuse the index of a
-                    # not-yet-durable epoch.
-                    # race-ok: fsync under _lock is deliberate (see above)
-                    os.fsync(handle.fileno())
-                os.replace(tmp_path, path)
+                self._write_epoch(epoch)
             except BaseException:
                 # The epoch never became durable; its lineage entry must
                 # not pollute AUTO resolution for the retrying caller.
                 self._lineage.pop(index, None)
                 raise
             self._next = index + 1
-            # We just wrote and framed this payload: it is verified by
-            # construction, so seed the cache with the pre-compression bytes.
-            signature = self._stat_signature(path)
-            if signature is not None:
-                self._verified[index] = (
-                    signature,
-                    Epoch(index, kind, plain, parent, branch, name),
-                )
-            self._branch_tips[branch] = index
-            self._last_branch = branch
-            if name is not None:
-                self._names[name] = index
+            self._book.note(index, branch, name)
         return index
 
-    def _branch_of(self, index: int) -> str:
-        # caller holds _lock
-        meta = self._lineage.get(index)
-        if meta is not None:
-            return meta["branch"]
-        return _implied_lineage(index)["branch"]
+    def _write_epoch(self, epoch: Epoch) -> None:
+        """Frame ``epoch`` into its file and seed the verified cache.
+
+        Caller holds ``_lock``: the index counter, the durable file and
+        the verified-cache entry must appear atomically, or a concurrent
+        append could reuse the index of a not-yet-durable epoch. The
+        file appears whole or not at all (tmp write, fsync, rename).
+        """
+        if self.compress:
+            payload = zlib.compress(epoch.data, level=6)
+            code = _COMPRESSED_CODES[epoch.kind]
+        else:
+            payload = epoch.data
+            code = _KIND_CODES[epoch.kind]
+        header = _HEADER.pack(
+            _MAGIC, _VERSION, code, len(payload), zlib.crc32(payload)
+        )
+        path = self._epoch_path(epoch.index)
+        tmp_path = path + ".tmp"
+        with open(tmp_path, "wb") as handle:
+            handle.write(header)
+            handle.write(payload)
+            handle.flush()
+            # race-ok: fsync under _lock is deliberate (see above)
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+        # We just wrote and framed this payload: it is verified by
+        # construction, so seed the cache with the pre-compression bytes.
+        signature = self._stat_signature(path)
+        if signature is None:
+            self._verified.pop(epoch.index, None)
+        else:
+            self._verified[epoch.index] = (signature, epoch)
 
     def _next_index(self) -> int:
         """The index the next append will use.
@@ -594,25 +558,21 @@ class FileStore(CheckpointStore):
                     pass  # a leftover file only wastes space, never safety
                 self._verified.pop(index, None)
                 self._lineage.pop(index, None)
-            self._rebuild_maps()
+            self._rebuild_book()
             self._write_manifest()
 
-    def _rebuild_maps(self) -> None:
-        """Recompute branch tips / names from the files on disk.
+    def _rebuild_book(self) -> None:
+        """Recompute the lineage book from the files on disk.
 
-        Caller holds ``_lock``. Used after any operation that changes
-        the epoch set out of append order (compaction, epoch repair).
+        Caller holds ``_lock`` (or is the constructor). Used on open and
+        after any operation that changes the epoch set out of append
+        order (compaction, epoch repair).
         """
-        self._branch_tips = {}
-        self._names = {}
-        last = None
+        entries = []
         for index, _ in self._epoch_files():
             meta = self._lineage.get(index) or _implied_lineage(index)
-            self._branch_tips[meta["branch"]] = index
-            if meta.get("name") is not None:
-                self._names[meta["name"]] = index
-            last = meta["branch"]
-        self._last_branch = last
+            entries.append((index, meta["branch"], meta.get("name")))
+        self._book.reset(entries)
 
     # -- reading --------------------------------------------------------------
 
@@ -645,30 +605,9 @@ class FileStore(CheckpointStore):
             for index in [i for i in self._verified if i not in live]:
                 del self._verified[index]
             for index, path in files:
-                signature = self._stat_signature(path)
-                cached = self._verified.get(index)
-                if (
-                    cached is not None
-                    and signature is not None
-                    and cached[0] == signature
-                ):
-                    result.append(cached[1])
-                    continue
-                self._verified.pop(index, None)
-                data = self._read_epoch(path)
-                if data is None:
+                epoch = self._verified_epoch(index, path)
+                if epoch is None:
                     break
-                meta = self._lineage.get(index) or _implied_lineage(index)
-                epoch = Epoch(
-                    index,
-                    data[0],
-                    data[1],
-                    meta["parent"],
-                    meta["branch"],
-                    meta.get("name"),
-                )
-                if signature is not None:
-                    self._verified[index] = (signature, epoch)
                 result.append(epoch)
             return result
 
@@ -683,32 +622,37 @@ class FileStore(CheckpointStore):
         with self._lock:
             result: Dict[int, Epoch] = {}
             for index, path in self._epoch_files():
-                signature = self._stat_signature(path)
-                cached = self._verified.get(index)
-                if (
-                    cached is not None
-                    and signature is not None
-                    and cached[0] == signature
-                ):
-                    result[index] = cached[1]
-                    continue
-                self._verified.pop(index, None)
-                data = self._read_epoch(path)
-                if data is None:
-                    continue  # damaged: skip it, keep scanning
-                meta = self._lineage.get(index) or _implied_lineage(index)
-                epoch = Epoch(
-                    index,
-                    data[0],
-                    data[1],
-                    meta["parent"],
-                    meta["branch"],
-                    meta.get("name"),
-                )
-                if signature is not None:
-                    self._verified[index] = (signature, epoch)
-                result[index] = epoch
+                epoch = self._verified_epoch(index, path)
+                if epoch is not None:  # damaged: skip it, keep scanning
+                    result[index] = epoch
             return result
+
+    def _verified_epoch(self, index: int, path: str) -> Optional[Epoch]:
+        """Epoch ``index`` read and CRC-checked, or ``None`` if damaged.
+
+        Caller holds ``_lock``. A payload verified earlier is served
+        from the cache while the file's stat signature is unchanged.
+        """
+        signature = self._stat_signature(path)
+        cached = self._verified.get(index)
+        if (
+            cached is not None
+            and signature is not None
+            and cached[0] == signature
+        ):
+            return cached[1]
+        self._verified.pop(index, None)
+        data = self._read_epoch(path)
+        if data is None:
+            return None
+        meta = self._lineage.get(index) or _implied_lineage(index)
+        epoch = Epoch(
+            index, data[0], data[1], meta["parent"], meta["branch"],
+            meta.get("name"),
+        )
+        if signature is not None:
+            self._verified[index] = (signature, epoch)
+        return epoch
 
     def put_epoch(self, epoch: Epoch, overwrite: bool = False) -> None:
         """Place ``epoch`` at its own index — the read-repair primitive.
@@ -729,58 +673,20 @@ class FileStore(CheckpointStore):
                     f"{self.directory!r} (overwrite=True replaces it)"
                 )
             prior = self._lineage.get(epoch.index)
-            self._lineage[epoch.index] = {
-                "parent": epoch.parent,
-                "branch": epoch.branch,
-                "kind": epoch.kind,
-                "name": epoch.name,
-            }
+            epoch = epoch._replace(data=bytes(epoch.data))
+            self._lineage[epoch.index] = _lineage_entry(epoch)
             self._write_manifest()
-            plain = bytes(epoch.data)
-            if self.compress:
-                payload = zlib.compress(plain, level=6)
-                code = _COMPRESSED_CODES[epoch.kind]
-            else:
-                payload = plain
-                code = _KIND_CODES[epoch.kind]
-            header = _HEADER.pack(
-                _MAGIC, _VERSION, code, len(payload), zlib.crc32(payload)
-            )
-            tmp_path = path + ".tmp"
             try:
-                with open(tmp_path, "wb") as handle:
-                    handle.write(header)
-                    handle.write(payload)
-                    handle.flush()
-                    # Matching append(): the file and the caches must
-                    # appear atomically to concurrent readers.
-                    # race-ok: fsync under _lock is deliberate (see above)
-                    os.fsync(handle.fileno())
-                os.replace(tmp_path, path)
+                self._write_epoch(epoch)
             except BaseException:
                 if prior is None:
                     self._lineage.pop(epoch.index, None)
                 else:
                     self._lineage[epoch.index] = prior
                 raise
-            signature = self._stat_signature(path)
-            if signature is not None:
-                self._verified[epoch.index] = (
-                    signature,
-                    Epoch(
-                        epoch.index,
-                        epoch.kind,
-                        plain,
-                        epoch.parent,
-                        epoch.branch,
-                        epoch.name,
-                    ),
-                )
-            else:
-                self._verified.pop(epoch.index, None)
             if self._next is not None and epoch.index >= self._next:
                 self._next = epoch.index + 1
-            self._rebuild_maps()
+            self._rebuild_book()
 
     def quarantine_epoch(self, index: int, reason: str = "") -> Optional[str]:
         """Move epoch ``index``'s file into ``quarantine/`` (never delete).
@@ -1108,20 +1014,17 @@ class BackgroundWriter(CheckpointStore):
         return f" (per-replica undurable epochs: {detail})"
 
     def _flush_backing(self, deadline: Optional[float]) -> None:
-        """Propagate flush into the backing store when it supports one.
+        """Propagate flush into the backing store.
 
         A wrapped :class:`~repro.core.replica.ReplicatedStore` uses this
         to drive catch-up repair of behind replicas and to flush its own
         children, so ``flush`` really means "durable on a quorum", not
         merely "left my queue".
         """
-        backing_flush = getattr(self.backing, "flush", None)
-        if not callable(backing_flush):
-            return
         remaining = None
         if deadline is not None:
             remaining = max(0.0, deadline - time.monotonic())
-        backing_flush(remaining)
+        self.backing.flush(remaining)
 
     # -- CheckpointStore interface ------------------------------------------
 
@@ -1228,9 +1131,7 @@ class BackgroundWriter(CheckpointStore):
             self._thread.join(timeout)
         self._check()
         self._flush_backing(deadline)
-        backing_close = getattr(self.backing, "close", None)
-        if callable(backing_close):
-            backing_close()
+        self.backing.close()
 
     def epochs(self) -> List[Epoch]:
         """Durable epochs (pending queued writes are not yet included)."""
@@ -1239,6 +1140,22 @@ class BackgroundWriter(CheckpointStore):
         self._check()
         return self.backing.epochs()
 
+    def durability(self) -> str:
+        """``"queued"``, or the backing's once writes went synchronous."""
+        with self._state_lock:
+            degraded = self.degraded
+        return self.backing.durability() if degraded else "queued"
+
+    @property
+    def last_commit(self) -> Optional[dict]:
+        """The backing's receipt: the newest *drained* epoch, not
+        necessarily the one most recently queued."""
+        return self.backing.last_commit
+
+    def lineage(self) -> Lineage:
+        self.flush()
+        return self.backing.lineage()
+
     def recover(self, registry=None, at=None):
         self.flush()
         return self.backing.recover(registry, at=at)
@@ -1246,6 +1163,12 @@ class BackgroundWriter(CheckpointStore):
     def materialize(self, target, registry=None):
         self.flush()
         return self.backing.materialize(target, registry)
+
+    def _compaction_store(self) -> CheckpointStore:
+        # the new base needs its real index and the deletes must be
+        # synchronous: drain the queue, then compact the durable store
+        self.flush()
+        return self.backing
 
     def __enter__(self) -> "BackgroundWriter":
         return self
@@ -1281,6 +1204,7 @@ def compact(
     this).
     """
     registry = registry or DEFAULT_REGISTRY
+    store = store._compaction_store()
     lineage = store.lineage()
     if branch is None:
         head = lineage.newest()  # raises the no-full error when empty

@@ -5,8 +5,8 @@ package is how the reproduction *tests* that, instead of assuming it:
 
 - :mod:`repro.faults.plan` — seed-driven :class:`FaultPlan`/:class:`FaultSpec`:
   transient errors, torn writes, bit flips, stalls, crash points;
-- :mod:`repro.faults.inject` — :class:`FaultyStore` / :class:`FaultySink`
-  wrappers executing a plan against real stores and sinks;
+- :mod:`repro.faults.inject` — :class:`FaultyStore` wrappers executing a
+  plan against real stores;
 - :mod:`repro.faults.crashsim` — the :class:`CrashSim` harness: run a
   session workload, crash it at every injected point, recover, and
   assert byte-identical state against a fault-free reference run
@@ -26,7 +26,7 @@ from repro.faults.crashsim import (
     default_workload,
     table_fingerprint,
 )
-from repro.faults.inject import FaultySink, FaultyStore, InjectedCrash, TransientFault
+from repro.faults.inject import FaultyStore, InjectedCrash, TransientFault
 from repro.faults.plan import (
     ALL_KINDS,
     BITFLIP,
@@ -49,7 +49,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "FaultyStore",
-    "FaultySink",
     "TransientFault",
     "InjectedCrash",
     "CrashSim",

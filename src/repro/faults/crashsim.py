@@ -17,8 +17,9 @@ store, and demands:
 
 :func:`build_matrix` generates the seeded scenario matrix (crash points,
 torn-write offsets through the whole header and into the payload, bit
-flips, transient bursts, stalls) across the three write paths — plain
-store, session sink, and background writer — plus the ``branch`` path:
+flips, transient bursts, stalls) across the write paths — a retrying
+session over the store (run twice, as the ``store`` and ``sink`` paths)
+and a background writer — plus the ``branch`` path:
 :class:`BranchSim` runs the deterministic time-travel script (commit,
 named pin, restore, fork) with faults armed on the store *and* on the
 session's restore/fork calls themselves, and demands every surviving
@@ -38,9 +39,9 @@ from repro.core.errors import StorageError
 from repro.core.ids import DEFAULT_ALLOCATOR
 from repro.core.restore import ObjectTable
 from repro.core.retry import RetryPolicy
-from repro.core.storage import BackgroundWriter, FileStore
+from repro.core.storage import BackgroundWriter, CheckpointStore, FileStore
 from repro.core.streams import DataOutputStream
-from repro.faults.inject import FaultySink, FaultyStore, InjectedCrash
+from repro.faults.inject import FaultyStore, InjectedCrash
 from repro.faults.plan import (
     BITFLIP,
     CRASH_AFTER,
@@ -63,7 +64,6 @@ from repro.faults.replicasim import (
 from repro.fsck.manager import RecoveryManager
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.session import CheckpointSession
-from repro.runtime.sink import StoreSink
 
 #: the branching time-travel path, handled by :class:`BranchSim`
 BRANCH_PATH = "branch"
@@ -108,9 +108,11 @@ class Workload:
     #: total epochs committed (one base + epochs-1 deltas)
     epochs: int = 6
 
-    def run(self, make_sink: Callable[[], object]) -> CheckpointSession:
+    def run(
+        self, store: CheckpointStore, retry: Optional[RetryPolicy] = None
+    ) -> CheckpointSession:
         roots = self.build()
-        session = CheckpointSession(roots=roots, sink=make_sink())
+        session = CheckpointSession(roots=roots, sink=store, retry=retry)
         session.base()
         for step in range(1, self.epochs):
             self.mutate(roots, step)
@@ -240,7 +242,7 @@ class CrashSim:
         shutil.rmtree(directory, ignore_errors=True)
         self._pin_ids()
         try:
-            self.workload.run(lambda: StoreSink(FileStore(directory)))
+            self.workload.run(FileStore(directory))
         finally:
             self._release_ids()
         store = FileStore(directory)
@@ -258,24 +260,22 @@ class CrashSim:
 
     # -- scenario runs -----------------------------------------------------
 
-    def _make_sink(self, scenario: Scenario, directory: str):
+    def _make_store(self, scenario: Scenario, directory: str):
+        """``(faulty store, session store, session retry)`` of a scenario.
+
+        The ``store`` and ``sink`` paths retry in the session; the
+        ``background`` path retries in the writer thread.
+        """
+        if scenario.path not in ("store", "sink", "background"):
+            sim = "ReplicaSim" if scenario.path == REPLICA_PATH else "BranchSim"
+            raise StorageError(
+                f"scenario path {scenario.path!r} needs {sim}, not CrashSim"
+            )
         retry = scenario.retry or self.retry
-        if scenario.path == "store":
-            return StoreSink(
-                FaultyStore(FileStore(directory), scenario.plan), retry=retry
-            )
-        if scenario.path == "sink":
-            return FaultySink(FileStore(directory), scenario.plan, retry=retry)
+        faulty = FaultyStore(FileStore(directory), scenario.plan)
         if scenario.path == "background":
-            writer = BackgroundWriter(
-                FaultyStore(FileStore(directory), scenario.plan), retry=retry
-            )
-            return StoreSink(writer)
-        raise StorageError(
-            f"scenario path {scenario.path!r} needs "
-            f"{'ReplicaSim' if scenario.path == REPLICA_PATH else 'BranchSim'}"
-            ", not CrashSim"
-        )
+            return faulty, BackgroundWriter(faulty, retry=retry), None
+        return faulty, faulty, retry
 
     def run_scenario(self, scenario: Scenario) -> ScenarioResult:
         with self.tracer.span(
@@ -293,17 +293,12 @@ class CrashSim:
         directory = os.path.join(self.root_dir, f"run-{scenario.name}")
         shutil.rmtree(directory, ignore_errors=True)
         reference = self.reference()
+        faulty, store, retry = self._make_store(scenario, directory)
         self._pin_ids()
         crashed = False
         detail = ""
-        sink_cell: List[object] = []
-
-        def make_sink():
-            sink_cell.append(self._make_sink(scenario, directory))
-            return sink_cell[0]
-
         try:
-            self.workload.run(make_sink)
+            self.workload.run(store, retry=retry)
         except (InjectedCrash, StorageError, OSError) as exc:
             crashed = True
             detail = f"{type(exc).__name__}: {exc}"
@@ -311,21 +306,13 @@ class CrashSim:
             self._release_ids()
             # A dead process cannot close anything, but the *simulator*
             # must not leak writer threads across hundreds of scenarios.
-            sink = sink_cell[0] if sink_cell else None
-            store = getattr(sink, "store", None)
             if isinstance(store, BackgroundWriter):
                 try:
                     store.close(timeout=5.0)
                 except (StorageError, OSError):
                     pass
 
-        injected: List[str] = []
-        if sink_cell:
-            faulty = getattr(sink_cell[0], "store", None)
-            if isinstance(faulty, BackgroundWriter):
-                faulty = faulty.backing
-            if isinstance(faulty, FaultyStore):
-                injected = list(faulty.injected)
+        injected = list(faulty.injected)
 
         # -- simulated restart: repair, then recover from a fresh store --
         RecoveryManager(directory, tracer=self.tracer).repair()
@@ -391,10 +378,10 @@ class BranchScript:
 
     def run(
         self,
-        make_sink: Callable[[], object],
+        store: CheckpointStore,
         session_factory: Callable[..., CheckpointSession] = CheckpointSession,
     ) -> CheckpointSession:
-        session = session_factory(roots=self.build(), sink=make_sink())
+        session = session_factory(roots=self.build(), sink=store)
         session.base()
         self.mutate(session.roots(), 1)
         session.commit()
@@ -510,7 +497,7 @@ class BranchSim:
         shutil.rmtree(directory, ignore_errors=True)
         self._pin_ids()
         try:
-            self.script.run(lambda: StoreSink(FileStore(directory)))
+            self.script.run(FileStore(directory))
         finally:
             self._release_ids()
         store = FileStore(directory)
@@ -552,28 +539,24 @@ class BranchSim:
         retry = scenario.retry or self.retry
         crashed = False
         detail = ""
-        faulty_cell: List[FaultyStore] = []
-
-        def make_sink():
-            faulty = FaultyStore(FileStore(directory), store_plan)
-            faulty_cell.append(faulty)
-            return StoreSink(faulty, retry=retry)
+        faulty = FaultyStore(FileStore(directory), store_plan)
 
         def session_factory(**kwargs):
             return _CrashPointSession(
-                crash_specs=crash_specs, crash_log=crash_log, **kwargs
+                crash_specs=crash_specs, crash_log=crash_log, retry=retry,
+                **kwargs,
             )
 
         self._pin_ids()
         try:
-            self.script.run(make_sink, session_factory=session_factory)
+            self.script.run(faulty, session_factory=session_factory)
         except (InjectedCrash, StorageError, OSError) as exc:
             crashed = True
             detail = f"{type(exc).__name__}: {exc}"
         finally:
             self._release_ids()
 
-        injected = list(faulty_cell[0].injected) if faulty_cell else []
+        injected = list(faulty.injected)
         injected.extend(crash_log)
 
         # -- simulated restart: repair, then materialize every survivor --

@@ -1,15 +1,15 @@
-"""Fault-injecting wrappers around stores and sinks.
+"""Fault-injecting wrappers around stores.
 
 :class:`FaultyStore` wraps any :class:`~repro.core.storage.CheckpointStore`
 and executes a :class:`~repro.faults.plan.FaultPlan` against its
 ``append`` stream: transient errors, stalls, torn writes, bit flips, and
 crash points. Faults that manipulate bytes on disk (``torn``,
 ``bitflip``, ``crash-tmp``) require a file-backed store underneath.
+Passed as a session's ``sink=``, it puts a whole
+:class:`~repro.runtime.session.CheckpointSession` under the fault plan::
 
-:class:`FaultySink` is the same engine one layer up: a
-:class:`~repro.runtime.sink.StoreSink` whose store is already wrapped,
-so a whole :class:`~repro.runtime.session.CheckpointSession` commits
-through the fault plan unchanged.
+    store = FaultyStore(FileStore(path), plan)
+    session = CheckpointSession(roots=root, sink=store, retry=RetryPolicy())
 
 Two exception types carry the injections:
 
@@ -27,7 +27,6 @@ import time
 from typing import Dict, List, Optional
 
 from repro.core.errors import CheckpointError
-from repro.core.retry import RetryPolicy
 from repro.core.storage import CheckpointStore, Epoch, FileStore
 from repro.faults.plan import (
     BITFLIP,
@@ -45,7 +44,6 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
 )
-from repro.runtime.sink import StoreSink
 
 
 class TransientFault(OSError):
@@ -191,6 +189,22 @@ class FaultyStore(CheckpointStore):
     def recover(self, registry=None, at=None):
         return self.backing.recover(registry, at=at)
 
+    def durability(self) -> str:
+        return self.backing.durability()
+
+    @property
+    def last_commit(self) -> Optional[dict]:
+        return self.backing.last_commit
+
+    def flush(self, timeout: Optional[float] = None) -> None:
+        self.backing.flush(timeout)
+
+    def close(self) -> None:
+        self.backing.close()
+
+    def instrument(self, tracer, metrics) -> None:
+        self.backing.instrument(tracer, metrics)
+
 
 class ReplicaFaultStore(CheckpointStore):
     """Execute replica-targeted faults against *one* replica's stream.
@@ -316,25 +330,3 @@ class ReplicaFaultStore(CheckpointStore):
         self._check_dead()
         return self.backing._serial_translation(registry)
 
-
-class FaultySink(StoreSink):
-    """A :class:`StoreSink` whose store runs under a fault plan.
-
-    The convenience wrapper for session-level injection::
-
-        sink = FaultySink(FileStore(path), plan, retry=RetryPolicy())
-        session = CheckpointSession(roots=root, sink=sink)
-    """
-
-    def __init__(
-        self,
-        store: CheckpointStore,
-        plan: FaultPlan,
-        retry: Optional[RetryPolicy] = None,
-        sleep=time.sleep,
-    ) -> None:
-        super().__init__(FaultyStore(store, plan, sleep=sleep), retry=retry)
-
-    @property
-    def faulty(self) -> FaultyStore:
-        return self.store

@@ -49,7 +49,6 @@ from repro.faults.plan import (
 )
 from repro.fsck.manager import RecoveryManager
 from repro.obs.tracer import NULL_TRACER
-from repro.runtime.sink import StoreSink
 
 #: the replicated-store path, handled by :class:`ReplicaSim`
 REPLICA_PATH = "replica"
@@ -216,15 +215,10 @@ class ReplicaSim:
         dirs = self._replica_dirs(scenario, base)
         crashed = False
         detail = ""
-        store_cell: List[ReplicatedStore] = []
-
-        def make_sink():
-            store_cell.append(self._build_store(scenario, dirs))
-            return StoreSink(store_cell[0])
-
+        store = self._build_store(scenario, dirs)
         self._pin_ids()
         try:
-            self.workload.run(make_sink)
+            self.workload.run(store)
         except (InjectedCrash, StorageError, OSError) as exc:
             crashed = True
             detail = f"{type(exc).__name__}: {exc}"
@@ -232,18 +226,17 @@ class ReplicaSim:
             self._release_ids()
 
         injected: List[str] = []
-        if store_cell:
-            for state in store_cell[0].replica_status():
-                if state["state"] != "healthy" or state["behind"]:
-                    injected.append(
-                        f"{state['name']}: {state['state']}"
-                        + (" behind" if state["behind"] else "")
-                    )
-            for rep_state in store_cell[0]._states:
-                wrapper = rep_state.store
-                injected.extend(getattr(wrapper, "injected", []))
-                inner = getattr(wrapper, "backing", None)
-                injected.extend(getattr(inner, "injected", []))
+        for state in store.replica_status():
+            if state["state"] != "healthy" or state["behind"]:
+                injected.append(
+                    f"{state['name']}: {state['state']}"
+                    + (" behind" if state["behind"] else "")
+                )
+        for rep_state in store._states:
+            wrapper = rep_state.store
+            injected.extend(getattr(wrapper, "injected", []))
+            inner = getattr(wrapper, "backing", None)
+            injected.extend(getattr(inner, "injected", []))
 
         # -- simulated restart: plain stores over the same directories --
         # (a killed volume comes back *readable*; its content is whatever

@@ -1,4 +1,4 @@
-"""The unified checkpoint runtime: sessions, strategies, policy, sinks.
+"""The unified checkpoint runtime: sessions, strategies, policy.
 
 This package is the single seam the paper's pipeline — generic driver →
 specialized per-phase routine → output stream → stable storage — flows
@@ -7,16 +7,15 @@ synthetic benchmark, the experiment harness, the examples) builds a
 :class:`~repro.runtime.session.CheckpointSession` instead of wiring
 drivers, specialized routines, and stores by hand.
 
-- :mod:`repro.runtime.session` — the session: owns roots, commits epochs,
-  recovers state.
+- :mod:`repro.runtime.session` — the session: owns roots, commits epochs
+  straight into its :class:`~repro.core.storage.CheckpointStore` (in
+  memory, on disk, asynchronous or replicated), recovers state.
 - :mod:`repro.runtime.strategy` — how commit bytes are produced: the
   generic driver tiers, compiled specializations, observation-driven
   auto-specialization; all selectable by name via the
   :class:`~repro.runtime.strategy.StrategyRegistry`.
 - :mod:`repro.runtime.policy` — full-vs-delta cadence, automatic
   compaction, delta-chain bounds.
-- :mod:`repro.runtime.sink` — where committed epochs drain: byte buffers,
-  durable stores, asynchronous writers, all behind one ``put()``.
 """
 
 from repro.core.lineage import AUTO, MAIN_BRANCH, Lineage
@@ -26,13 +25,6 @@ from repro.runtime.session import (
     CheckpointSession,
     CommitReceipt,
     CommitResult,
-)
-from repro.runtime.sink import (
-    BufferSink,
-    NullSink,
-    Sink,
-    StoreSink,
-    sink_for,
 )
 from repro.runtime.strategy import (
     DEFAULT_STRATEGIES,
@@ -55,11 +47,6 @@ __all__ = [
     "MAIN_BRANCH",
     "RetryPolicy",
     "RetryStats",
-    "Sink",
-    "NullSink",
-    "BufferSink",
-    "StoreSink",
-    "sink_for",
     "Strategy",
     "NullStrategy",
     "DriverStrategy",

@@ -14,8 +14,8 @@ repository. A :class:`CheckpointSession` owns that pipeline once:
 - the **epoch policy** deciding full-vs-delta cadence and delta-chain
   length bounds (:class:`~repro.runtime.policy.EpochPolicy`), including
   automatic compaction of the attached store,
-- the **sink** the committed epochs drain into
-  (:mod:`repro.runtime.sink`).
+- the **store** the committed epochs drain into (any
+  :class:`~repro.core.storage.CheckpointStore`, passed as ``sink=``).
 
 Typical lifecycle::
 
@@ -32,6 +32,7 @@ equivalence test suite pins this for every strategy tier.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -49,17 +50,24 @@ from repro.core.errors import CheckpointError, RestoreError, StorageError
 from repro.core.lineage import AUTO, MAIN_BRANCH, EpochRef, Lineage
 from repro.core.registry import DEFAULT_REGISTRY, ClassRegistry
 from repro.core.restore import ObjectTable
-from repro.core.retry import RetryPolicy
-from repro.core.storage import FULL, INCREMENTAL, _KIND_CODES
+from repro.core.retry import RetryPolicy, RetryStats
+from repro.core.storage import (
+    FULL,
+    INCREMENTAL,
+    _KIND_CODES,
+    CheckpointStore,
+    FileStore,
+    compact as storage_compact,
+)
 from repro.core.streams import DataOutputStream
 from repro.obs.metrics import (
+    DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
     NULL_METRICS,
     MetricsRegistry,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.policy import EpochPolicy
-from repro.runtime.sink import Sink, sink_for
 from repro.runtime.strategy import (
     DEFAULT_STRATEGIES,
     DriverStrategy,
@@ -102,17 +110,31 @@ def _roots_provider(roots: RootsLike) -> Callable[[], Sequence[Checkpointable]]:
     return lambda: fixed
 
 
+def _store_for(target) -> Optional[CheckpointStore]:
+    """The store a ``sink=`` argument names: ``None`` (persist nothing),
+    a :class:`~repro.core.storage.CheckpointStore` itself, or a
+    directory path for a new :class:`~repro.core.storage.FileStore`."""
+    if target is None or isinstance(target, CheckpointStore):
+        return target
+    if isinstance(target, (str, os.PathLike)):
+        return FileStore(os.fspath(target))
+    raise StorageError(
+        f"cannot use {target!r} as a checkpoint sink (expected None, a "
+        "CheckpointStore, or a directory path)"
+    )
+
+
 @dataclass
 class CommitReceipt:
     """The durability story of one commit.
 
-    Produced for every persisted commit: what the sink did with the
+    Produced for every persisted commit: what the store did with the
     epoch, how many transient failures were retried on the way, and any
     degradation the runtime performed to keep the delta chain sound
     (strategy fallback, escalation of the next epoch to a full).
     """
 
-    #: ``"durable"`` / ``"queued"`` / ``"buffered"`` / ``"discarded"``
+    #: ``"durable"`` / ``"queued"`` / ``"quorum"`` / ``"discarded"``
     durability: str = "unknown"
     #: transient failures retried while persisting this epoch
     retries: int = 0
@@ -124,11 +146,11 @@ class CommitReceipt:
     failed_wall_seconds: Optional[float] = None
     #: wall time of the checked-driver re-record after the fallback
     fallback_wall_seconds: Optional[float] = None
-    #: replicas that acked this epoch (replicated sinks only, else None)
+    #: replicas that acked this epoch (replicated stores only, else None)
     replicas_acked: Optional[List[str]] = None
-    #: write quorum the commit had to meet (replicated sinks only)
+    #: write quorum the commit had to meet (replicated stores only)
     replica_quorum: Optional[int] = None
-    #: replicas that missed the epoch — fenced or failing (replicated sinks)
+    #: replicas that missed the epoch — fenced or failing (replicated stores)
     degraded_replicas: Optional[List[str]] = None
     #: human-readable record of every degradation/escalation/retry event
     events: List[str] = field(default_factory=list)
@@ -143,7 +165,7 @@ class CommitResult:
     wall_seconds: float
     strategy: str
     phase: Optional[str] = None
-    #: index assigned by the sink's store, when it assigns one
+    #: index assigned by the session's store, when it assigns one
     epoch_index: Optional[int] = None
     #: whether this commit triggered an automatic compaction
     compacted: bool = False
@@ -160,7 +182,7 @@ class CommitResult:
 
 
 class CheckpointSession:
-    """Owns roots, strategy selection, epoch cadence, and the sink.
+    """Owns roots, strategy selection, epoch cadence, and the store.
 
     Parameters
     ----------
@@ -178,19 +200,20 @@ class CheckpointSession:
         The :class:`~repro.runtime.policy.EpochPolicy`
         (default: :meth:`~repro.runtime.policy.EpochPolicy.delta_only`).
     sink:
-        Where epochs go — anything :func:`~repro.runtime.sink.sink_for`
-        accepts: ``None``, a store, a directory path, or a sink.
+        Where epochs go, kept as :attr:`store`: ``None`` (nothing is
+        persisted), a :class:`~repro.core.storage.CheckpointStore`, or
+        a directory path for a new :class:`~repro.core.storage.FileStore`.
     retry:
-        Optional :class:`~repro.core.retry.RetryPolicy` attached to the
-        sink this session builds: transient persistence failures are
-        retried on the commit path and counted in the commit's receipt.
+        Optional :class:`~repro.core.retry.RetryPolicy` around each
+        ``store.append``: transient persistence failures are retried on
+        the commit path and counted in the commit's receipt.
     class_registry:
         The :class:`~repro.core.registry.ClassRegistry` used for recovery
         and compaction (default: the process-wide registry).
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`: every commit emits
         typed ``commit.start``/``commit.end`` (plus fallback, compaction,
-        retry) events through it, and the sink is instrumented with it
+        retry) events through it, and the store is instrumented with it
         too. Default: the shared no-op :data:`~repro.obs.tracer.NULL_TRACER`
         — the hot path then performs no extra timer calls or allocation.
     metrics:
@@ -216,8 +239,13 @@ class CheckpointSession:
         self.policy = policy or EpochPolicy.delta_only()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.sink: Sink = sink_for(sink, retry=retry)
-        self.sink.instrument(self.tracer, self.metrics)
+        #: where committed epochs go (``None``: they are discarded)
+        self.store: Optional[CheckpointStore] = _store_for(sink)
+        if self.store is not None:
+            self.store.instrument(self.tracer, self.metrics)
+        self._retry = retry
+        #: retry accounting for this session's appends
+        self.retry_stats = RetryStats()
         self.class_registry = class_registry or DEFAULT_REGISTRY
         self._roots = _roots_provider(roots)
         #: whether the caller supplied a live callable (then the caller —
@@ -523,7 +551,7 @@ class CheckpointSession:
     ) -> CommitResult:
         """Commit pre-produced checkpoint bytes (e.g. from a metered run).
 
-        The bytes enter the same sink/policy path as a normal commit, so
+        The bytes enter the same store/policy path as a normal commit, so
         instrumented producers still get epoch accounting, automatic
         compaction — and the same chain-repair bookkeeping: a ``FULL``
         epoch committed here clears a pending escalation exactly like a
@@ -714,22 +742,23 @@ class CheckpointSession:
         self, result: CommitResult, name: Optional[str] = None
     ) -> None:
         receipt = result.receipt
-        stats = getattr(self.sink, "retry_stats", None)
-        retries_before = stats.retries if stats is not None else 0
+        stats = self.retry_stats
+        retries_before = stats.retries
         with self._state_lock:
             parent = self._pending_parent
             branch = self._branch
-        result.epoch_index = self.sink.put(
-            result.kind,
-            result.data,
-            parent=AUTO if parent is None else parent,
-            branch=branch,
-            name=name,
-        )
+        if self.store is not None:
+            result.epoch_index = self._append(
+                result.kind,
+                result.data,
+                parent=AUTO if parent is None else parent,
+                branch=branch,
+                name=name,
+            )
         result.branch = branch
         result.epoch_name = name
         if parent is not None:
-            # The put landed, so the restore/fork point is now anchored in
+            # The append landed, so the restore/fork point is now anchored in
             # the lineage graph; subsequent commits chain off this epoch.
             with self._state_lock:
                 if self._pending_parent == parent:
@@ -740,13 +769,15 @@ class CheckpointSession:
                     "restore/fork)"
                 )
         if receipt is not None:
-            if stats is not None:
-                put_retries = stats.retries - retries_before
-                receipt.retries += put_retries
-                if put_retries:
-                    receipt.events.extend(stats.events[-put_retries:])
-            receipt.durability = self.sink.durability()
-            self._fill_replica_receipt(receipt)
+            put_retries = stats.retries - retries_before
+            receipt.retries += put_retries
+            if put_retries:
+                receipt.events.extend(stats.events[-put_retries:])
+            if self.store is None:
+                receipt.durability = "discarded"
+            else:
+                receipt.durability = self.store.durability()
+                self._fill_replica_receipt(receipt)
         with self._state_lock:
             self.commits += 1
             self.bytes_written += result.size
@@ -754,10 +785,10 @@ class CheckpointSession:
                 self.deltas_since_full = 0
             else:
                 self.deltas_since_full += 1
-            should_compact = self.sink.can_compact and (
+            should_compact = self.store is not None and (
                 self.policy.should_compact(self.deltas_since_full)
             )
-        # compaction does sink IO: run it outside the bookkeeping lock
+        # compaction does store IO: run it outside the bookkeeping lock
         # (compact() re-enters the lock for its own counter updates)
         if should_compact:
             self.compact()
@@ -766,17 +797,48 @@ class CheckpointSession:
             self.history.append(result)
         self._record_commit(result)
 
+    def _append(self, kind, data, parent, branch, name) -> Optional[int]:
+        """``store.append`` under the retry policy, traced as ``sink.put``."""
+        if not (self.tracer.enabled or self.metrics.enabled):
+            return self._append_retrying(kind, data, parent, branch, name)
+        start = time.perf_counter()
+        index = self._append_retrying(kind, data, parent, branch, name)
+        elapsed = time.perf_counter() - start
+        self.tracer.event(
+            "sink.put", kind=kind, bytes=len(data), index=index,
+            wall_seconds=elapsed, branch=branch, name=name,
+        )
+        self.metrics.histogram(
+            "sink_put_seconds", buckets=DEFAULT_LATENCY_BUCKETS
+        ).observe(elapsed)
+        return index
+
+    def _append_retrying(self, kind, data, parent, branch, name):
+        # store.append is looked up per call: instance-level wrappers
+        # installed after the session was built still see every append
+        def append():
+            return self.store.append(
+                kind, data, parent=parent, branch=branch, name=name
+            )
+
+        if self._retry is None:
+            return append()
+        return self._retry.run(
+            append,
+            on_retry=lambda attempt, exc, _d: self.retry_stats.note(
+                "put", attempt, exc
+            ),
+        )
+
     def _fill_replica_receipt(self, receipt: CommitReceipt) -> None:
         """Copy the replicated store's commit receipt onto ours (if any).
 
-        Unwraps a :class:`~repro.core.storage.BackgroundWriter` front;
-        behind one, the numbers describe the newest *drained* epoch, not
-        necessarily this still-queued one.
+        Behind a :class:`~repro.core.storage.BackgroundWriter` the
+        numbers describe the newest *drained* epoch, not necessarily
+        this still-queued one.
         """
-        store = getattr(self.sink, "store", None)
-        store = getattr(store, "backing", store)
-        last = getattr(store, "last_commit", None)
-        if not isinstance(last, dict):
+        last = self.store.last_commit
+        if last is None:
             return
         receipt.replicas_acked = list(last.get("acked") or [])
         receipt.replica_quorum = last.get("quorum")
@@ -852,6 +914,11 @@ class CheckpointSession:
         if self._closed:
             raise CheckpointError("the checkpoint session is closed")
 
+    def _require_store(self, action: str) -> CheckpointStore:
+        if self.store is None:
+            raise StorageError(f"a session without a store {action}")
+        return self.store
+
     # -- store lifecycle -----------------------------------------------------
 
     def compact(self) -> int:
@@ -869,7 +936,8 @@ class CheckpointSession:
                     "not yet anchored"
                 )
             branch = self._branch
-        index = self.sink.compact(
+        index = storage_compact(
+            self._require_store("cannot compact"),
             self.class_registry,
             keep_history=self.policy.keep_history,
             branch=branch,
@@ -888,8 +956,10 @@ class CheckpointSession:
         return index
 
     def recover(self) -> ObjectTable:
-        """Rebuild the object table from the sink's recovery line."""
-        return self.sink.recover(self.class_registry)
+        """Rebuild the object table from the store's recovery line."""
+        return self._require_store("cannot recover state").recover(
+            self.class_registry
+        )
 
     # -- time travel ---------------------------------------------------------
 
@@ -900,7 +970,7 @@ class CheckpointSession:
     ) -> ObjectTable:
         """Materialize epoch ``target`` and make it the session's live state.
 
-        ``target`` is an epoch index or a checkpoint name. The sink is
+        ``target`` is an epoch index or a checkpoint name. The store is
         flushed, the epoch's base+delta chain is replayed, and the
         session's roots are rebound to the restored objects (matched by
         object id; a root that does not exist at ``target`` raises
@@ -919,12 +989,13 @@ class CheckpointSession:
         self._ensure_open()
         with self.tracer.span("session.restore", target=str(target)) as span:
             start = time.perf_counter()
-            self.sink.flush()
-            lineage = self.sink.lineage()
+            store = self._require_store("cannot restore state")
+            store.flush()
+            lineage = store.lineage()
             index = lineage.resolve(target)
             epoch = lineage.epoch(index)
             chain = lineage.chain_indices(index)
-            table = self.sink.materialize(index, self.class_registry)
+            table = store.materialize(index, self.class_registry)
             rebound = self._rebind_roots(table, roots)
             self._reset_block_tiers()
             if self._oracle is not None:
@@ -974,9 +1045,9 @@ class CheckpointSession:
         Returns the restored table when ``at`` was given, else ``None``.
         """
         self._ensure_open()
-        self.sink.flush()
+        self.flush()
         try:
-            branches = self.sink.lineage().branches()
+            branches = self.branches()
         except StorageError:
             branches = {}
         if branch is None:
@@ -1076,16 +1147,16 @@ class CheckpointSession:
         return f"fork-{n}"
 
     def lineage(self) -> Lineage:
-        """The sink store's epoch lineage graph (durable epochs only)."""
-        return self.sink.lineage()
+        """The store's epoch lineage graph (durable epochs only)."""
+        return self._require_store("keeps no epoch lineage").lineage()
 
     def branches(self) -> Dict[str, int]:
         """Branch name → tip epoch index, for every branch in the store."""
-        return self.sink.lineage().branches()
+        return self.lineage().branches()
 
     def named_checkpoints(self) -> Dict[str, int]:
         """Checkpoint name → epoch index, for every named epoch."""
-        return self.sink.lineage().named()
+        return self.lineage().named()
 
     @property
     def current_branch(self) -> str:
@@ -1094,13 +1165,15 @@ class CheckpointSession:
 
     def flush(self) -> None:
         """Block until every committed epoch is durable."""
-        self.sink.flush()
+        if self.store is not None:
+            self.store.flush()
 
     def close(self) -> None:
-        """Flush and close the sink; further commits raise."""
+        """Flush and close the store; further commits raise."""
         if self._closed:
             return
-        self.sink.close()
+        if self.store is not None:
+            self.store.close()
         with self._state_lock:
             self._closed = True
 

@@ -187,7 +187,7 @@ def _runtime_workloads() -> List[Tuple[str, "callable"]]:
 
     def synthetic():
         from repro.runtime.session import CheckpointSession
-        from repro.runtime.sink import BufferSink
+        from repro.core.storage import MemoryStore
         from repro.sanitize.oracle import ShadowHeapOracle
         from repro.synthetic.runner import (
             SyntheticConfig,
@@ -209,7 +209,7 @@ def _runtime_workloads() -> List[Tuple[str, "callable"]]:
         session = CheckpointSession(
             roots=workload.structures,
             strategy=variant_strategy(workload, "incremental"),
-            sink=BufferSink(),
+            sink=MemoryStore(),
         )
         session.attach_oracle(oracle)
         session.base()
@@ -223,7 +223,7 @@ def _runtime_workloads() -> List[Tuple[str, "callable"]]:
 
     def session_cycle():
         from repro.runtime.session import CheckpointSession
-        from repro.runtime.sink import BufferSink
+        from repro.core.storage import MemoryStore
         from repro.sanitize.oracle import ShadowHeapOracle
         from repro.synthetic.structures import (
             build_structures,
@@ -233,7 +233,7 @@ def _runtime_workloads() -> List[Tuple[str, "callable"]]:
 
         roots = build_structures(4, 2, 3, 1)
         oracle = ShadowHeapOracle()
-        session = CheckpointSession(roots=roots, sink=BufferSink())
+        session = CheckpointSession(roots=roots, sink=MemoryStore())
         session.attach_oracle(oracle)
         session.base()
         field = value_field_name(0)

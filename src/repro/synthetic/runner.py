@@ -202,7 +202,7 @@ def run_variant(
     # -- wall clock over the real implementation ---------------------------
     # One session per variant; commits are timed over the strategy alone,
     # so wall-clock comparisons across variants measure the checkpointers,
-    # not the sink.
+    # not the store.
     workload.snapshot.restore()
     session = CheckpointSession(roots=structures, strategy=strategy)
     if variant == "differential":

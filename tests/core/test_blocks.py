@@ -336,13 +336,13 @@ class TestOracleCrosscheck:
 
     def _session(self, strategy_name):
         from repro.runtime.session import CheckpointSession
-        from repro.runtime.sink import BufferSink
+        from repro.core.storage import MemoryStore
         from repro.sanitize.oracle import ShadowHeapOracle
 
         root = build_root()
         oracle = ShadowHeapOracle()
         session = CheckpointSession(
-            roots=root, strategy=strategy_name, sink=BufferSink()
+            roots=root, strategy=strategy_name, sink=MemoryStore()
         )
         session.attach_oracle(oracle)
         session.base()

@@ -335,13 +335,12 @@ class TestFileStoreReplicas:
 
     def test_recover_through_quorum(self, tmp_path):
         from repro.runtime.session import CheckpointSession
-        from repro.runtime.sink import StoreSink
         from repro.synthetic.structures import build_structures, element_at
 
         dirs = [str(tmp_path / f"r{i}") for i in range(3)]
         store = ReplicatedStore([FileStore(d) for d in dirs])
         roots = build_structures(2, 2, 2, 1)
-        session = CheckpointSession(roots=roots, sink=StoreSink(store))
+        session = CheckpointSession(roots=roots, sink=store)
         session.base()
         element_at(roots[0], 0, 1).v0 = 4242
         session.commit()
@@ -468,3 +467,20 @@ class TestLifecycle:
         # the degraded replica is visible through undurable_counts even
         # though the quorum made the commit itself succeed
         assert store.undurable_counts()["r2"] == 1
+
+    def test_child_flush_error_surfaces_once(self):
+        class _BadFlush(MemoryStore):
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def flush(self, timeout=None):
+                self.calls.append(timeout)
+                raise TypeError("bug inside the child's flush")
+
+        child = _BadFlush()
+        store = ReplicatedStore([MemoryStore(), child])
+        with pytest.raises(TypeError, match="inside the child"):
+            store.flush(timeout=2.0)
+        # not swallowed and retried without the timeout
+        assert child.calls == [2.0]

@@ -100,7 +100,7 @@ class TestBranchSimGuards:
             path=BRANCH_PATH,
         )
         with pytest.raises(StorageError, match="BranchSim"):
-            sim._make_sink(scenario, str(tmp_path / "run-bad"))
+            sim._make_store(scenario, str(tmp_path / "run-bad"))
 
     def test_script_is_replayable(self, tmp_path):
         """Two fault-free runs of the script produce identical stores."""

@@ -17,7 +17,6 @@ from repro.faults import (
     TRANSIENT,
     FaultPlan,
     FaultSpec,
-    FaultySink,
     FaultyStore,
     InjectedCrash,
     TransientFault,
@@ -139,16 +138,20 @@ class TestPassthrough:
         assert store.epochs() == backing.epochs()
 
 
-class TestFaultySink:
-    def test_wraps_store_and_exposes_it(self, tmp_path):
+class TestFaultySession:
+    def test_session_commits_through_the_plan(self, tmp_path):
+        from repro.runtime.session import CheckpointSession
+
         backing = FileStore(str(tmp_path / "store"))
-        sink = FaultySink(
-            backing,
-            FaultPlan.single(FaultSpec(0, TRANSIENT, attempts=1)),
-            retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+        faulty = FaultyStore(
+            backing, FaultPlan.single(FaultSpec(0, TRANSIENT, attempts=1))
         )
-        assert isinstance(sink.faulty, FaultyStore)
-        sink.put(FULL, PAYLOAD)
-        # The retry policy absorbed the single transient fault.
-        assert sink.retry_stats.retries == 1
+        session = CheckpointSession(
+            sink=faulty, retry=RetryPolicy(max_attempts=3, base_delay=0.0)
+        )
+        assert session.store is faulty
+        session.commit_bytes(FULL, PAYLOAD)
+        # The session's retry policy absorbed the single transient fault.
+        assert session.retry_stats.retries == 1
+        assert faulty.injected == ["transient #1 at op 0"]
         assert [epoch.data for epoch in backing.epochs()] == [PAYLOAD]

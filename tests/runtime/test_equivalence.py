@@ -23,7 +23,6 @@ from repro.core.storage import FULL, INCREMENTAL, FileStore, MemoryStore
 from repro.core.streams import DataOutputStream
 from repro.runtime import (
     AutoSpecStrategy,
-    BufferSink,
     CheckpointSession,
     SpecializedStrategy,
 )
@@ -86,7 +85,9 @@ class TestTierEquivalence:
         flags = _snapshot_flags(roots)
         expected = _driver_bytes(TIER_DRIVERS[tier], roots)
         _restore_flags(flags)
-        session = CheckpointSession(roots=roots, strategy=tier, sink=BufferSink())
+        session = CheckpointSession(
+            roots=roots, strategy=tier, sink=MemoryStore()
+        )
         result = session.commit(kind=INCREMENTAL)
         assert result.data == expected
         assert result.strategy == tier
@@ -105,7 +106,7 @@ class TestTierEquivalence:
             )
 
         session = CheckpointSession(
-            roots=session_root, strategy=tier, sink=BufferSink()
+            roots=session_root, strategy=tier, sink=MemoryStore()
         )
         session.base()
         for round_index in range(3):
@@ -113,7 +114,7 @@ class TestTierEquivalence:
             session.commit(kind=INCREMENTAL)
 
         driver_epochs = store.epochs()
-        session_epochs = session.sink.epochs()
+        session_epochs = session.store.epochs()
         assert len(driver_epochs) == len(session_epochs) == 4
         for driver_epoch, session_epoch in zip(driver_epochs, session_epochs):
             assert driver_epoch.kind == session_epoch.kind
@@ -135,7 +136,7 @@ class TestDifferentialSteadyState:
         roots = [build_root() for _ in range(8)]
         strategy = DifferentialStrategy(block_size=2)
         session = CheckpointSession(
-            roots=roots, strategy=strategy, sink=BufferSink()
+            roots=roots, strategy=strategy, sink=MemoryStore()
         )
         session.commit(kind=INCREMENTAL)  # baseline: partition, full walk
         for round_index in range(5):
@@ -219,7 +220,7 @@ class TestSpecializedEquivalence:
         session = CheckpointSession(
             roots=root,
             strategy=SpecializedStrategy.for_prototype(build_root()),
-            sink=BufferSink(),
+            sink=MemoryStore(),
         )
         assert session.commit(kind=INCREMENTAL).data == expected
 
@@ -228,7 +229,7 @@ class TestSpecializedEquivalence:
         session = CheckpointSession(
             roots=root,
             strategy=AutoSpecStrategy(shape=Shape.of(root)),
-            sink=BufferSink(),
+            sink=MemoryStore(),
         )
         for round_index in range(3):
             flags = _snapshot_flags([root])

@@ -12,7 +12,6 @@ from repro.core.storage import (
 )
 from repro.runtime.policy import EpochPolicy
 from repro.runtime.session import CheckpointSession
-from repro.runtime.sink import NullSink
 from repro.runtime.strategy import Strategy
 from tests.conftest import build_root
 
@@ -64,13 +63,10 @@ class TestDurabilityStates:
             session.close()
 
     def test_null_sink_commits_are_discarded(self):
-        session = CheckpointSession(roots=build_root(), sink=NullSink())
-        assert session.base().receipt.durability == "discarded"
-
-    def test_plain_sink_default_is_buffered(self):
-        from repro.runtime.sink import Sink
-
-        assert Sink().durability() == "buffered"
+        session = CheckpointSession(sink=None)
+        result = session.commit_bytes(FULL, b"\x00")
+        assert result.receipt.durability == "discarded"
+        assert result.epoch_index is None
 
     def test_none_sink_commits_are_discarded(self):
         session = CheckpointSession(roots=build_root(), sink=None)
@@ -261,3 +257,43 @@ class TestReplicaReceipts:
             session.close()
         # behind a queue the receipt reflects the newest drained epoch
         assert store.last_commit["acked"] == ["r0", "r1", "r2"]
+
+
+def _memory(tmp_path):
+    return MemoryStore()
+
+
+def _file(tmp_path):
+    return FileStore(str(tmp_path / "ckpts"))
+
+
+def _background(tmp_path):
+    return BackgroundWriter(FileStore(str(tmp_path / "ckpts")))
+
+
+def _lagging_replicated(tmp_path):
+    from repro.core.replica import ReplicatedStore
+
+    return ReplicatedStore([MemoryStore(), MemoryStore(), _DeadReplica()])
+
+
+@pytest.mark.parametrize(
+    "make_store,expected",
+    [
+        (_memory, "durable"),
+        (_file, "durable"),
+        (_background, "queued"),
+        (_lagging_replicated, "quorum"),
+    ],
+    ids=["memory", "file", "background", "replicated-lagging"],
+)
+def test_store_durability_is_the_receipt_durability(
+    tmp_path, make_store, expected
+):
+    store = make_store(tmp_path)
+    session = CheckpointSession(roots=build_root(), sink=store)
+    try:
+        receipt = session.base().receipt
+        assert receipt.durability == store.durability() == expected
+    finally:
+        session.close()

@@ -1,4 +1,4 @@
-"""RetryPolicy semantics and its wiring into StoreSink."""
+"""RetryPolicy semantics and its wiring into the session's store appends."""
 
 import errno
 import os
@@ -8,7 +8,7 @@ import pytest
 from repro.core.errors import CheckpointError, StorageError
 from repro.core.retry import RetryPolicy, RetryStats, transient_oserror
 from repro.core.storage import FULL, MemoryStore
-from repro.runtime.sink import StoreSink
+from repro.runtime.session import CheckpointSession
 
 
 class TestClassifier:
@@ -230,24 +230,28 @@ class _FlakyStore(MemoryStore):
         return super().append(kind, data, **lineage)
 
 
-class TestStoreSinkRetry:
-    def test_put_retries_and_records_stats(self):
+class TestSessionRetry:
+    def test_append_retries_and_records_stats(self):
         store = _FlakyStore(failures=2)
-        sink = StoreSink(store, retry=RetryPolicy(max_attempts=4, base_delay=0.0))
-        sink.put(FULL, b"epoch-bytes")
+        session = CheckpointSession(
+            sink=store, retry=RetryPolicy(max_attempts=4, base_delay=0.0)
+        )
+        session.commit_bytes(FULL, b"epoch-bytes")
         assert [epoch.data for epoch in store.epochs()] == [b"epoch-bytes"]
-        assert sink.retry_stats.retries == 2
+        assert session.retry_stats.retries == 2
 
-    def test_put_without_retry_fails_fast(self):
+    def test_append_without_retry_fails_fast(self):
         store = _FlakyStore(failures=1)
-        sink = StoreSink(store)
+        session = CheckpointSession(sink=store)
         with pytest.raises(OSError):
-            sink.put(FULL, b"epoch-bytes")
+            session.commit_bytes(FULL, b"epoch-bytes")
         assert store.attempts == 1
 
     def test_exhausted_retry_surfaces_error(self):
         store = _FlakyStore(failures=99)
-        sink = StoreSink(store, retry=RetryPolicy(max_attempts=2, base_delay=0.0))
+        session = CheckpointSession(
+            sink=store, retry=RetryPolicy(max_attempts=2, base_delay=0.0)
+        )
         with pytest.raises(OSError):
-            sink.put(FULL, b"epoch-bytes")
-        assert sink.retry_stats.retries == 1
+            session.commit_bytes(FULL, b"epoch-bytes")
+        assert session.retry_stats.retries == 1

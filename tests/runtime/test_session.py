@@ -5,12 +5,10 @@ import pytest
 from repro.core.checkpoint import reset_flags
 from repro.core.errors import CheckpointError, StorageError
 from repro.core.restore import structurally_equal
-from repro.core.storage import FULL, INCREMENTAL, FileStore
+from repro.core.storage import FULL, INCREMENTAL, FileStore, MemoryStore
 from repro.runtime import (
-    BufferSink,
     CheckpointSession,
     EpochPolicy,
-    NullSink,
     SpecializedStrategy,
 )
 from repro.runtime.strategy import NullStrategy
@@ -42,16 +40,16 @@ class TestRoots:
 
     def test_per_commit_roots_override(self):
         a, b = build_root(), build_root()
-        session = CheckpointSession(roots=a, sink=BufferSink())
+        session = CheckpointSession(roots=a, sink=MemoryStore())
         result = session.base(roots=[a, b])
-        solo = CheckpointSession(roots=[a, b], sink=BufferSink()).base()
+        solo = CheckpointSession(roots=[a, b], sink=MemoryStore()).base()
         assert result.data == solo.data
 
 
 class TestCommitLifecycle:
     def test_base_then_deltas_then_recover(self):
         root = build_root()
-        session = CheckpointSession(roots=root, sink=BufferSink())
+        session = CheckpointSession(roots=root, sink=MemoryStore())
         base = session.base()
         assert base.kind == FULL and base.strategy == "full"
         root.mid.leaf.value = 8
@@ -63,7 +61,7 @@ class TestCommitLifecycle:
 
     def test_counters(self):
         root = build_root()
-        session = CheckpointSession(roots=root, sink=BufferSink())
+        session = CheckpointSession(roots=root, sink=MemoryStore())
         session.base()
         root.mid.leaf.value = 1
         session.commit()
@@ -77,7 +75,7 @@ class TestCommitLifecycle:
     def test_base_always_uses_full_driver(self):
         root = build_root()
         session = CheckpointSession(
-            roots=root, strategy=NullStrategy(), sink=BufferSink()
+            roots=root, strategy=NullStrategy(), sink=MemoryStore()
         )
         base = session.base()
         assert base.strategy == "full"
@@ -85,7 +83,7 @@ class TestCommitLifecycle:
 
     def test_explicit_kind_labels_without_switching_strategy(self):
         root = build_root()
-        session = CheckpointSession(roots=root, sink=BufferSink())
+        session = CheckpointSession(roots=root, sink=MemoryStore())
         result = session.commit(kind=FULL)
         # labelled full, but produced by the bound incremental strategy
         assert result.kind == FULL and result.strategy == "incremental"
@@ -104,7 +102,7 @@ class TestCommitLifecycle:
 
     def test_null_sink_assigns_no_index(self):
         session = CheckpointSession(roots=build_root())
-        assert isinstance(session.sink, NullSink)
+        assert session.store is None
         assert session.base().epoch_index is None
 
 
@@ -112,7 +110,7 @@ class TestPolicyDriven:
     def test_periodic_full_cadence(self):
         root = build_root()
         session = CheckpointSession(
-            roots=root, sink=BufferSink(), policy=EpochPolicy.periodic_full(3)
+            roots=root, sink=MemoryStore(), policy=EpochPolicy.periodic_full(3)
         )
         kinds, strategies = [], []
         for i in range(6):
@@ -140,7 +138,7 @@ class TestPolicyDriven:
         assert session.compactions == 1
         assert session.deltas_since_full == 0
         # the store now holds exactly the compacted base
-        epochs = session.sink.epochs()
+        epochs = session.store.epochs()
         assert len(epochs) == 1 and epochs[0].kind == FULL
         recovered = session.recover()[root._ckpt_info.object_id]
         assert structurally_equal(root, recovered, compare_ids=True)
@@ -149,7 +147,7 @@ class TestPolicyDriven:
         root = build_root()
         session = CheckpointSession(
             roots=root, policy=EpochPolicy.bounded_chain(1)
-        )  # NullSink cannot compact
+        )  # no store: nothing to compact
         session.base()
         for i in range(4):
             root.mid.leaf.value = i
@@ -160,7 +158,7 @@ class TestPolicyDriven:
 class TestPhaseBinding:
     def test_bound_phase_overrides_default(self):
         root = build_root()
-        session = CheckpointSession(roots=root, sink=BufferSink())
+        session = CheckpointSession(roots=root, sink=MemoryStore())
         session.bind("quiet", NullStrategy())
         assert session.bound("quiet") and not session.bound("other")
         root.mid.leaf.value = 1
@@ -169,7 +167,7 @@ class TestPhaseBinding:
         assert session.commit(phase="other").size > 0  # default strategy
 
     def test_bind_resolves_names_via_registry(self):
-        session = CheckpointSession(roots=build_root(), sink=BufferSink())
+        session = CheckpointSession(roots=build_root(), sink=MemoryStore())
         session.bind("p", "full")
         assert session.strategy_for("p").name == "full"
 
@@ -180,7 +178,7 @@ class TestPhaseBinding:
             calls.append(1)
             return NullStrategy()
 
-        session = CheckpointSession(roots=build_root(), sink=BufferSink())
+        session = CheckpointSession(roots=build_root(), sink=MemoryStore())
         session.bind("p", factory)
         assert calls == []  # not resolved at bind time
         session.commit(phase="p")
@@ -189,7 +187,7 @@ class TestPhaseBinding:
 
     def test_rebind_replaces_and_unbind_removes(self):
         root = build_root()
-        session = CheckpointSession(roots=root, sink=BufferSink())
+        session = CheckpointSession(roots=root, sink=MemoryStore())
         session.bind("p", NullStrategy())
         session.bind("p", "full")
         assert session.strategy_for("p").name == "full"
@@ -206,7 +204,7 @@ class TestPhaseBinding:
 
     def test_specialized_phase_binding(self):
         root = build_root()
-        session = CheckpointSession(roots=root, sink=BufferSink())
+        session = CheckpointSession(roots=root, sink=MemoryStore())
         session.base()
         session.bind("hot", SpecializedStrategy.for_prototype(build_root()))
         root.mid.leaf.value = 77
@@ -220,11 +218,11 @@ class TestPhaseBinding:
 class TestMeasureAndBytes:
     def test_measure_does_not_persist_or_count(self):
         root = build_root()
-        session = CheckpointSession(roots=root, sink=BufferSink())
+        session = CheckpointSession(roots=root, sink=MemoryStore())
         result = session.measure()
         assert result.size > 0  # fresh structure: everything is flagged
         assert session.commits == 0
-        assert len(session.sink) == 0
+        assert len(session.store) == 0
         assert result.wall_seconds >= 0
 
     def test_commit_bytes_goes_through_sink_and_policy(self, tmp_path):
@@ -251,7 +249,7 @@ class TestMeasureAndBytes:
 class TestClose:
     def test_closed_session_rejects_commits(self):
         root = build_root()
-        session = CheckpointSession(roots=root, sink=BufferSink())
+        session = CheckpointSession(roots=root, sink=MemoryStore())
         session.close()
         with pytest.raises(CheckpointError, match="closed"):
             session.commit()
@@ -261,7 +259,7 @@ class TestClose:
 
     def test_context_manager_closes(self):
         root = build_root()
-        with CheckpointSession(roots=root, sink=BufferSink()) as session:
+        with CheckpointSession(roots=root, sink=MemoryStore()) as session:
             session.base()
         with pytest.raises(CheckpointError, match="closed"):
             session.commit()
@@ -282,8 +280,8 @@ class TestClose:
         # a commit in one clears what the other would record. This pins the
         # (documented) sharing semantics rather than isolation.
         root = build_root()
-        first = CheckpointSession(roots=root, sink=BufferSink())
-        second = CheckpointSession(roots=root, sink=BufferSink())
+        first = CheckpointSession(roots=root, sink=MemoryStore())
+        second = CheckpointSession(roots=root, sink=MemoryStore())
         first.base()
         reset_flags(root)
         root.mid.leaf.value = 5

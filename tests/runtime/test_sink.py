@@ -1,4 +1,4 @@
-"""Unit tests for sinks and the sink coercion."""
+"""The session's ``sink=`` keyword and the store it commits straight into."""
 
 from pathlib import Path
 
@@ -14,8 +14,7 @@ from repro.core.storage import (
     FileStore,
     MemoryStore,
 )
-from repro.runtime import BufferSink, NullSink, Sink, StoreSink
-from repro.runtime.sink import sink_for
+from repro.runtime import CheckpointSession
 from tests.conftest import build_root
 
 
@@ -28,119 +27,110 @@ def _base_and_delta(root):
     return base.getvalue(), delta.getvalue()
 
 
+def _commit_line(session, root):
+    """Commit a base and one delta of ``root``; returns their indices."""
+    base, delta = _base_and_delta(root)
+    return (
+        session.commit_bytes(FULL, base).epoch_index,
+        session.commit_bytes(INCREMENTAL, delta).epoch_index,
+    )
+
+
 class TestSinkFor:
     def test_none_gives_null_sink(self):
-        assert isinstance(sink_for(None), NullSink)
+        assert CheckpointSession(sink=None).store is None
 
     def test_sink_passes_through(self):
-        sink = BufferSink()
-        assert sink_for(sink) is sink
+        writer = BackgroundWriter(MemoryStore())
+        session = CheckpointSession(sink=writer)
+        assert session.store is writer
+        session.close()
 
-    def test_store_is_wrapped(self):
+    def test_store_is_used_as_is(self):
         store = MemoryStore()
-        sink = sink_for(store)
-        assert isinstance(sink, StoreSink)
-        assert sink.store is store
+        assert CheckpointSession(sink=store).store is store
 
     def test_path_makes_a_file_store(self, tmp_path):
-        sink = sink_for(str(tmp_path / "ckpt"))
-        assert isinstance(sink.store, FileStore)
-        pathlike = sink_for(Path(tmp_path) / "ckpt2")
+        session = CheckpointSession(sink=str(tmp_path / "ckpt"))
+        assert isinstance(session.store, FileStore)
+        pathlike = CheckpointSession(sink=Path(tmp_path) / "ckpt2")
         assert isinstance(pathlike.store, FileStore)
 
     def test_garbage_rejected(self):
         with pytest.raises(StorageError, match="cannot use"):
-            sink_for(42)
+            CheckpointSession(sink=42)
 
 
-class TestNullSink:
+class TestNoStore:
     def test_counts_discards(self):
-        sink = NullSink()
-        assert sink.put(FULL, b"x") is None
-        sink.put(INCREMENTAL, b"y")
-        assert sink.discarded == 2
-        assert not sink.can_recover and not sink.can_compact
+        session = CheckpointSession(sink=None)
+        first = session.commit_bytes(FULL, b"x")
+        second = session.commit_bytes(INCREMENTAL, b"y")
+        assert first.epoch_index is None and second.epoch_index is None
+        assert first.receipt.durability == "discarded"
+        assert session.commits == 2
 
     def test_recover_and_compact_raise(self):
         with pytest.raises(StorageError, match="cannot recover"):
-            NullSink().recover()
+            CheckpointSession(sink=None).recover()
         with pytest.raises(StorageError, match="cannot compact"):
-            NullSink().compact()
+            CheckpointSession(sink=None).compact()
 
 
-class TestBufferSink:
+class TestMemoryStore:
     def test_epochs_addressable(self):
-        sink = BufferSink()
-        sink.put(FULL, b"base")
-        sink.put(INCREMENTAL, b"delta")
-        assert len(sink) == 2
-        assert sink.data(0) == b"base"
-        assert sink.data(1) == b"delta"
+        store = MemoryStore()
+        session = CheckpointSession(sink=store)
+        session.commit_bytes(FULL, b"base")
+        session.commit_bytes(INCREMENTAL, b"delta")
+        assert len(store) == 2
+        assert [epoch.data for epoch in store.epochs()] == [b"base", b"delta"]
 
     def test_recovery_line_replay(self):
         root = build_root()
-        base, delta = _base_and_delta(root)
-        sink = BufferSink()
-        sink.put(FULL, base)
-        sink.put(INCREMENTAL, delta)
-        recovered = sink.recover()[root._ckpt_info.object_id]
+        session = CheckpointSession(sink=MemoryStore())
+        _commit_line(session, root)
+        recovered = session.recover()[root._ckpt_info.object_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
 
-class TestStoreSink:
+class TestStoreSession:
     def test_file_store_roundtrip(self, tmp_path):
         root = build_root()
-        base, delta = _base_and_delta(root)
-        sink = sink_for(str(tmp_path / "ckpt"))
-        assert sink.put(FULL, base) == 0
-        assert sink.put(INCREMENTAL, delta) == 1
-        recovered = sink.recover()[root._ckpt_info.object_id]
+        session = CheckpointSession(sink=str(tmp_path / "ckpt"))
+        assert _commit_line(session, root) == (0, 1)
+        recovered = session.recover()[root._ckpt_info.object_id]
         assert structurally_equal(root, recovered, compare_ids=True)
-        assert [e.kind for e in sink.epochs()] == [FULL, INCREMENTAL]
+        assert [e.kind for e in session.store.epochs()] == [FULL, INCREMENTAL]
 
     def test_compact_folds_the_line(self, tmp_path):
         root = build_root()
-        base, delta = _base_and_delta(root)
-        sink = sink_for(str(tmp_path / "ckpt"))
-        sink.put(FULL, base)
-        sink.put(INCREMENTAL, delta)
-        new_base = sink.compact()
-        epochs = sink.epochs()
-        assert [e.index for e in epochs] == [new_base]
-        recovered = sink.recover()[root._ckpt_info.object_id]
+        session = CheckpointSession(sink=str(tmp_path / "ckpt"))
+        _commit_line(session, root)
+        new_base = session.compact()
+        assert [e.index for e in session.store.epochs()] == [new_base]
+        recovered = session.recover()[root._ckpt_info.object_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
     def test_background_writer_flushed_before_recovery(self, tmp_path):
         root = build_root()
-        base, delta = _base_and_delta(root)
-        backing = FileStore(str(tmp_path / "ckpt"))
-        writer = BackgroundWriter(backing)
-        sink = sink_for(writer)
-        sink.put(FULL, base)
-        sink.put(INCREMENTAL, delta)
-        recovered = sink.recover()[root._ckpt_info.object_id]
+        writer = BackgroundWriter(FileStore(str(tmp_path / "ckpt")))
+        session = CheckpointSession(sink=writer)
+        _commit_line(session, root)
+        recovered = session.recover()[root._ckpt_info.object_id]
         assert structurally_equal(root, recovered, compare_ids=True)
-        sink.close()
+        session.close()
 
     def test_background_writer_compaction_unwraps(self, tmp_path):
         root = build_root()
-        base, delta = _base_and_delta(root)
         backing = FileStore(str(tmp_path / "ckpt"))
-        writer = BackgroundWriter(backing)
-        sink = sink_for(writer)
-        sink.put(FULL, base)
-        sink.put(INCREMENTAL, delta)
-        new_base = sink.compact()  # flushes the queue, compacts the backing
+        session = CheckpointSession(sink=BackgroundWriter(backing))
+        _commit_line(session, root)
+        new_base = session.compact()  # flushes the queue, compacts the backing
         assert [e.index for e in backing.epochs()] == [new_base]
-        sink.close()
+        session.close()
 
     def test_flush_and_close_tolerate_plain_stores(self):
-        sink = StoreSink(MemoryStore())  # no flush/close methods
-        sink.flush()
-        sink.close()
-
-
-class TestSinkBase:
-    def test_put_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            Sink().put(FULL, b"")
+        session = CheckpointSession(sink=MemoryStore())  # synchronous store
+        session.flush()
+        session.close()

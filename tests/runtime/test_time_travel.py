@@ -61,7 +61,7 @@ class TestRestoreByteIdentity:
         tip = max(digests)
         tip_digest = digests[tip]
         new_base = session.compact()
-        assert session.sink.store.epochs()[0].kind == FULL or new_base >= 0
+        assert session.store.epochs()[0].kind == FULL or new_base >= 0
         assert restored_digest(session, new_base) == tip_digest
 
     def test_restore_with_periodic_fulls(self):
@@ -100,7 +100,7 @@ class TestRestoreThenCommit:
         result = session.commit()  # nothing touched since restore
         assert (
             state_digest(
-                session.sink.materialize(result.epoch_index)[
+                session.store.materialize(result.epoch_index)[
                     session.roots()[0]._ckpt_info.object_id
                 ]
             )
@@ -265,12 +265,12 @@ class TestFork:
         main = session.commit()
 
         alt_digest = state_digest(
-            session.sink.materialize(alt.epoch_index)[
+            session.store.materialize(alt.epoch_index)[
                 alt_root._ckpt_info.object_id
             ]
         )
         main_digest = state_digest(
-            session.sink.materialize(main.epoch_index)[
+            session.store.materialize(main.epoch_index)[
                 main_root._ckpt_info.object_id
             ]
         )
@@ -288,7 +288,7 @@ class TestFork:
         result = session.commit()
         assert result.branch == "wip"
         assert session.lineage().epoch(result.epoch_index).parent == 2
-        restored = session.sink.materialize(result.epoch_index)[
+        restored = session.store.materialize(result.epoch_index)[
             root._ckpt_info.object_id
         ]
         assert restored.mid.leaf.value == 31337
@@ -335,7 +335,7 @@ class TestRestoreGuards:
         session = make_session()
         session.base()
         orphan = build_root()  # never committed: unknown object id
-        session2 = CheckpointSession(roots=orphan, sink=session.sink)
+        session2 = CheckpointSession(roots=orphan, sink=session.store)
         with pytest.raises(RestoreError, match="does not exist"):
             session2.restore(0)
 
@@ -391,7 +391,7 @@ class TestCompactAfterEscalation:
         session.commit(phase="post")
         expected = state_digest(root)
         new_base = session.compact()
-        store = session.sink.store
+        store = session.store
         line = store.recovery_line()
         assert line[0].kind == FULL
         assert line[0].index == new_base

@@ -19,11 +19,10 @@ The guarantees pinned here:
 
 import pytest
 
-from repro.core.storage import FULL, INCREMENTAL
+from repro.core.storage import FULL, INCREMENTAL, MemoryStore
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import MemoryExporter, Tracer
 from repro.runtime.session import CheckpointSession
-from repro.runtime.sink import BufferSink
 from repro.runtime.strategy import Strategy
 from repro.sanitize.oracle import OVER, UNDER, ShadowHeapOracle
 from tests.conftest import build_root
@@ -36,7 +35,7 @@ def oracle_session(strategy="incremental", root=None):
     root = root if root is not None else build_root()
     oracle = ShadowHeapOracle()
     session = CheckpointSession(
-        roots=root, strategy=strategy, sink=BufferSink()
+        roots=root, strategy=strategy, sink=MemoryStore()
     )
     session.attach_oracle(oracle)
     return session, oracle, root
@@ -111,7 +110,7 @@ class TestSyntheticVariants:
         session = CheckpointSession(
             roots=workload.structures,
             strategy=variant_strategy(workload, variant),
-            sink=BufferSink(),
+            sink=MemoryStore(),
         )
         session.attach_oracle(oracle)
         session.base()
@@ -201,7 +200,7 @@ class TestDegradedFallback:
         root = build_root()
         oracle = ShadowHeapOracle()
         session = CheckpointSession(
-            roots=root, strategy=_DyingSpecialized(), sink=BufferSink()
+            roots=root, strategy=_DyingSpecialized(), sink=MemoryStore()
         )
         session.attach_oracle(oracle)
         session.base()
@@ -246,7 +245,7 @@ class TestReporting:
         root = build_root()
         oracle = ShadowHeapOracle()
         session = CheckpointSession(
-            roots=root, sink=BufferSink(), tracer=tracer, metrics=metrics
+            roots=root, sink=MemoryStore(), tracer=tracer, metrics=metrics
         )
         session.attach_oracle(oracle)
         session.base()

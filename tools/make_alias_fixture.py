@@ -97,7 +97,7 @@ _PRELUDE = """\
 from repro.core.checkpointable import Checkpointable
 from repro.core.fields import child, child_list, scalar
 from repro.runtime.session import CheckpointSession
-from repro.runtime.sink import BufferSink
+from repro.core.storage import MemoryStore
 from repro.sanitize.oracle import ShadowHeapOracle
 
 
@@ -113,7 +113,7 @@ class {root}(Checkpointable):
 
 def _session(root):
     oracle = ShadowHeapOracle()
-    session = CheckpointSession(roots=root, sink=BufferSink())
+    session = CheckpointSession(roots=root, sink=MemoryStore())
     session.attach_oracle(oracle)
     session.base()
     return session, oracle
@@ -196,7 +196,7 @@ def run():
     left.kid = shared
     right = {root}()
     right.kid = shared  # the bug: one subtree under two recorded roots
-    left_session = CheckpointSession(roots=left, sink=BufferSink())
+    left_session = CheckpointSession(roots=left, sink=MemoryStore())
     left_session.base()
     session, oracle = _session(right)
     shared.{field} = shared.{field} + 1  # honest descriptor write

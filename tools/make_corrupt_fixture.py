@@ -46,7 +46,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.core.replica import ReplicatedStore  # noqa: E402
 from repro.core.storage import FileStore  # noqa: E402
 from repro.runtime.session import CheckpointSession  # noqa: E402
-from repro.runtime.sink import StoreSink  # noqa: E402
 from repro.synthetic.structures import build_structures, element_at  # noqa: E402
 
 
@@ -95,7 +94,7 @@ def build_replica_fixture(directory: str, replicas: int = 3, epochs: int = 8) ->
     dirs = [os.path.join(directory, f"r{i}") for i in range(replicas)]
     store = ReplicatedStore([FileStore(d) for d in dirs])
     roots = build_structures(3, 2, 3, 1)
-    session = CheckpointSession(roots=roots, sink=StoreSink(store))
+    session = CheckpointSession(roots=roots, sink=store)
     session.base()
     manifest_snapshot = None
     snapshot_at = max(1, epochs // 2)
