@@ -63,8 +63,9 @@ class Lineage:
 
     Built from any sequence of epoch records (anything with ``index``,
     ``kind``, ``parent``, ``branch`` and ``name`` attributes — the
-    stores' :class:`~repro.core.storage.Epoch` tuples, or the light
-    records ``fsck`` synthesizes from classified files).
+    stores' :class:`~repro.core.storage.Epoch` tuples, or the
+    payload-free :class:`~repro.core.storage.EpochHeader` records a
+    ``FileStore`` builds its lineage from).
     """
 
     def __init__(self, epochs: Iterable) -> None:

@@ -20,7 +20,7 @@ restored objects have their modification flag clear.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.checkpointable import Checkpointable
 from repro.core.errors import RestoreError
@@ -99,12 +99,12 @@ def apply_stream(
     registry: Optional[ClassRegistry] = None,
     serial_translation: Optional[Dict[int, int]] = None,
     base_offset: int = 0,
-) -> List[int]:
+) -> int:
     """Apply one checkpoint stream to ``table`` (creating objects as needed).
 
-    Returns the identifiers of the entries applied, in stream order.
-    Raises :class:`RestoreError` on truncation, unknown serials, or a
-    class mismatch between an entry and an existing object.
+    Returns the number of entries applied. Raises :class:`RestoreError`
+    on truncation, unknown serials, or a class mismatch between an entry
+    and an existing object.
 
     ``base_offset`` is this stream's position within the containing
     recovery line: decode errors report ``base_offset``-adjusted offsets,
@@ -113,9 +113,9 @@ def apply_stream(
     """
     registry = registry or DEFAULT_REGISTRY
 
-    # Pass 1: discover entries, materialize blanks for unseen identifiers.
+    # Pass 1: check entries, materialize blanks for unseen identifiers.
     inp = DataInputStream(data, base_offset)
-    entries: List[Tuple[int, type]] = []
+    count = 0
     while not inp.at_eof:
         object_id = inp.read_int32()
         serial = inp.read_int32()
@@ -125,7 +125,7 @@ def apply_stream(
             except KeyError:
                 raise RestoreError(f"class serial {serial} missing from manifest")
         cls = registry.class_for(serial)
-        entries.append((object_id, cls))
+        count += 1
         existing = table.get(object_id)
         if existing is None:
             table.add(cls._blank(object_id))
@@ -137,14 +137,15 @@ def apply_stream(
         _skip_payload(inp, registry.schema_of(cls))
 
     # Pass 2: apply payloads now that every referenced object can exist.
+    # Pass 1 checked each entry's class against the table, so the id
+    # alone finds the object; the serial is skipped.
     inp = DataInputStream(data, base_offset)
-    for object_id, cls in entries:
+    for _ in range(count):
+        obj = table[inp.read_int32()]
         inp.read_int32()
-        inp.read_int32()
-        obj = table[object_id]
         obj.restore_local(inp, table)
         obj._ckpt_info.modified = False
-    return [object_id for object_id, _ in entries]
+    return count
 
 
 def restore_full(
@@ -165,8 +166,9 @@ def apply_incremental(
     registry: Optional[ClassRegistry] = None,
     serial_translation: Optional[Dict[int, int]] = None,
     base_offset: int = 0,
-) -> List[int]:
-    """Fold one incremental delta into an existing table."""
+) -> int:
+    """Fold one incremental delta into an existing table; returns the
+    number of entries applied."""
     applied = apply_stream(data, table, registry, serial_translation, base_offset)
     DEFAULT_ALLOCATOR.advance_past(table.max_id())
     return applied
@@ -211,6 +213,12 @@ def replay_epochs(
     chain = list(epochs)
     if not chain:
         raise RestoreError("cannot replay an empty epoch chain")
+    for epoch in chain:
+        if not hasattr(epoch, "data"):
+            raise RestoreError(
+                f"epoch {epoch.index} is a header without its payload; "
+                "replay the store's recovery_line(), not its lineage()"
+            )
     # Kind literals, not storage constants: importing storage here would
     # be circular (storage replays through this function).
     if chain[0].kind != "full":

@@ -76,6 +76,29 @@ class Epoch(NamedTuple):
     branch: str = MAIN_BRANCH
     name: Optional[str] = None
 
+    def header(self) -> "EpochHeader":
+        """This epoch's place in the graph, without its payload."""
+        return EpochHeader(
+            self.index, self.kind, self.parent, self.branch, self.name
+        )
+
+
+class EpochHeader(NamedTuple):
+    """An epoch's lineage record with no payload attached.
+
+    What :class:`FileStore` keeps in memory per verified epoch and builds
+    its :class:`~repro.core.lineage.Lineage` from. It has no ``data``, so
+    handing one to :func:`~repro.core.restore.replay_epochs` raises
+    instead of replaying an empty delta; payloads come from
+    :meth:`CheckpointStore.recovery_line`.
+    """
+
+    index: int
+    kind: str
+    parent: Optional[int] = None
+    branch: str = MAIN_BRANCH
+    name: Optional[str] = None
+
 
 def _lineage_entry(epoch: Epoch) -> dict:
     """The manifest lineage entry of ``epoch``."""
@@ -189,14 +212,21 @@ class CheckpointStore:
         """The store :func:`compact` appends to and deletes from."""
         return self
 
-    def recovery_line(self, at: Optional[EpochRef] = None) -> List[Epoch]:
+    def recovery_line(
+        self,
+        at: Optional[EpochRef] = None,
+        lineage: Optional[Lineage] = None,
+    ) -> List[Epoch]:
         """The base chain of ``at`` (default: the newest epoch).
 
         For a linear store this is exactly the old "most recent full
         checkpoint plus every delta after it"; with branches it is the
         full-base-to-target chain resolved through the lineage graph.
+        ``lineage`` is a :meth:`lineage` the caller already holds; the
+        chain is then resolved in it instead of in a fresh one.
         """
-        lineage = Lineage(self.epochs())
+        if lineage is None:
+            lineage = self.lineage()
         if at is None:
             at = lineage.newest()
         return lineage.chain(at)
@@ -205,21 +235,31 @@ class CheckpointStore:
         self,
         registry: Optional[ClassRegistry] = None,
         at: Optional[EpochRef] = None,
+        lineage: Optional[Lineage] = None,
     ) -> ObjectTable:
-        """Rebuild the object table live at ``at`` (default: newest epoch)."""
+        """Rebuild the object table live at ``at`` (default: newest epoch).
+
+        ``lineage`` is passed on to :meth:`recovery_line`.
+        """
         registry = registry or DEFAULT_REGISTRY
         translation = self._serial_translation(registry)
-        return replay_epochs(self.recovery_line(at), registry, translation)
+        return replay_epochs(
+            self.recovery_line(at, lineage), registry, translation
+        )
 
     def materialize(
-        self, target: EpochRef, registry: Optional[ClassRegistry] = None
+        self,
+        target: EpochRef,
+        registry: Optional[ClassRegistry] = None,
+        lineage: Optional[Lineage] = None,
     ) -> ObjectTable:
         """The object table exactly as it was live at ``target``.
 
         ``target`` is an epoch index or a checkpoint name; the epoch's
-        base chain is resolved through the lineage graph and replayed.
+        base chain is resolved through the lineage graph (``lineage``
+        when given) and replayed.
         """
-        return self.recover(registry, at=target)
+        return self.recover(registry, at=target, lineage=lineage)
 
     def _serial_translation(
         self, registry: ClassRegistry
@@ -317,10 +357,13 @@ class FileStore(CheckpointStore):
     process, so a *different* process (after a crash) can translate the
     serials in the stored streams to its own registry.
 
-    Epochs are verified (frame + CRC) at most once per file: verified
-    payloads are cached against the file's stat signature, so repeated
-    :meth:`epochs` / :meth:`recovery_line` calls on a long-lived store only
-    read files that are new or have changed on disk.
+    Payloads live on disk only. Each file is verified (frame + CRC)
+    before its :class:`EpochHeader` is trusted, and the verified header
+    is cached against the file's stat signature, so repeated
+    :meth:`lineage` calls on a long-lived store only read files that are
+    new or have changed on disk. :meth:`recovery_line` reads (and
+    CRC-checks) the payloads of the chain it returns and no others;
+    :meth:`epochs` and :meth:`epoch_map` read every payload on each call.
     """
 
     def __init__(
@@ -333,7 +376,7 @@ class FileStore(CheckpointStore):
         self._registry = registry or DEFAULT_REGISTRY
         #: zlib-compress epoch payloads on write (reads are transparent)
         self.compress = compress
-        #: index -> (stat signature, verified Epoch)
+        #: index -> (stat signature, EpochHeader of the verified file)
         self._verified: Dict[int, tuple] = {}
         #: next epoch index to assign; None until the first append scans
         self._next: Optional[int] = None
@@ -454,7 +497,7 @@ class FileStore(CheckpointStore):
             # An explicit parent must exist on disk; AUTO-resolved
             # parents come from the branch-tip map and always do.
             if parent is not AUTO and parent is not None:
-                if parent not in {i for i, _ in self._epoch_files()}:
+                if not os.path.exists(self._epoch_path(parent)):
                     raise StorageError(
                         f"parent epoch {parent} does not exist in the store"
                     )
@@ -478,10 +521,10 @@ class FileStore(CheckpointStore):
         return index
 
     def _write_epoch(self, epoch: Epoch) -> None:
-        """Frame ``epoch`` into its file and seed the verified cache.
+        """Frame ``epoch`` into its file and seed the header cache.
 
         Caller holds ``_lock``: the index counter, the durable file and
-        the verified-cache entry must appear atomically, or a concurrent
+        the header-cache entry must appear atomically, or a concurrent
         append could reuse the index of a not-yet-durable epoch. The
         file appears whole or not at all (tmp write, fsync, rename).
         """
@@ -503,13 +546,13 @@ class FileStore(CheckpointStore):
             # race-ok: fsync under _lock is deliberate (see above)
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
-        # We just wrote and framed this payload: it is verified by
-        # construction, so seed the cache with the pre-compression bytes.
+        # We just wrote and framed this payload: its header is verified
+        # by construction. The payload itself is not kept.
         signature = self._stat_signature(path)
         if signature is None:
             self._verified.pop(epoch.index, None)
         else:
-            self._verified[epoch.index] = (signature, epoch)
+            self._verified[epoch.index] = (signature, epoch.header())
 
     def _next_index(self) -> int:
         """The index the next append will use.
@@ -542,7 +585,7 @@ class FileStore(CheckpointStore):
     def remove(self, indices) -> None:
         """Delete the given epochs (compaction's deletion primitive).
 
-        Removes the files, drops their verified-cache and lineage
+        Removes the files, drops their header-cache and lineage
         entries, rewrites the manifest, and rebuilds the branch-tip and
         name maps. The next-index counter is *not* rewound: indices are
         never reused, so lineage references stay unambiguous forever.
@@ -588,26 +631,75 @@ class FileStore(CheckpointStore):
         found.sort()
         return found
 
+    def _durable_prefix(self, payloads: bool) -> list:
+        """Every epoch file's :meth:`_load` (``payloads``) or
+        :meth:`_header`, oldest first, up to the first damaged one.
+
+        Everything from the first unreadable epoch onward is ignored: a
+        delta chain cannot be applied across a hole. Caller holds
+        ``_lock``.
+        """
+        files = self._epoch_files()
+        live = {index for index, _ in files}
+        # Compaction (or external cleanup) removed the files; the cache
+        # must not outlive them.
+        for index in [i for i in self._verified if i not in live]:
+            del self._verified[index]
+        result = []
+        for index, path in files:
+            if payloads:
+                record = self._load(index, path)
+            else:
+                record = self._header(index, path)
+            if record is None:
+                break
+            result.append(record)
+        return result
+
     def epochs(self) -> List[Epoch]:
         """Read intact epochs; a torn or corrupt epoch ends the sequence.
 
-        Everything from the first unreadable epoch onward is ignored: a
-        delta chain cannot be applied across a hole. An epoch already
-        verified by this store (appended or read earlier) is served from
-        the cache unless its file changed on disk since.
+        Every payload is read from disk and CRC-checked on each call.
         """
         with self._lock:
-            result: List[Epoch] = []
-            files = self._epoch_files()
-            live = {index for index, _ in files}
-            # Compaction (or external cleanup) removed the files; the cache
-            # must not outlive them.
-            for index in [i for i in self._verified if i not in live]:
-                del self._verified[index]
-            for index, path in files:
-                epoch = self._verified_epoch(index, path)
-                if epoch is None:
-                    break
+            return self._durable_prefix(payloads=True)
+
+    def lineage(self) -> Lineage:
+        """The epoch graph of the durable prefix, built from headers.
+
+        A file whose header was verified earlier (by this store's own
+        append or an earlier read) is not read again unless its stat
+        signature changed; no payload is kept.
+        """
+        with self._lock:
+            return Lineage(self._durable_prefix(payloads=False))
+
+    def recovery_line(
+        self,
+        at: Optional[EpochRef] = None,
+        lineage: Optional[Lineage] = None,
+    ) -> List[Epoch]:
+        """The base chain of ``at``, with only its own payloads read.
+
+        Each payload is read and CRC-checked now. A chain file that no
+        longer verifies, or no longer holds the kind the lineage
+        recorded, raises :class:`StorageError` rather than replaying
+        bytes the lineage did not vouch for. The read refreshed the
+        file's header-cache entry, so the next :meth:`lineage` sees the
+        file as it is now (a damaged one ends the durable prefix).
+        """
+        chain = super().recovery_line(at, lineage)
+        with self._lock:
+            result = []
+            for record in chain:
+                path = self._epoch_path(record.index)
+                epoch = self._load(record.index, path)
+                if epoch is None or epoch.kind != record.kind:
+                    raise StorageError(
+                        f"epoch {record.index} in {self.directory!r} "
+                        "changed or was damaged after its header was "
+                        "verified; refusing to replay it"
+                    )
                 result.append(epoch)
             return result
 
@@ -622,25 +714,31 @@ class FileStore(CheckpointStore):
         with self._lock:
             result: Dict[int, Epoch] = {}
             for index, path in self._epoch_files():
-                epoch = self._verified_epoch(index, path)
+                epoch = self._load(index, path)
                 if epoch is not None:  # damaged: skip it, keep scanning
                     result[index] = epoch
             return result
 
-    def _verified_epoch(self, index: int, path: str) -> Optional[Epoch]:
+    def _header(self, index: int, path: str) -> Optional[EpochHeader]:
+        """Epoch ``index``'s verified header, or ``None`` if damaged.
+
+        Caller holds ``_lock``. Served from the cache while the file's
+        stat signature is unchanged; otherwise the file is read and
+        CRC-checked again.
+        """
+        cached = self._verified.get(index)
+        if cached is not None and cached[0] == self._stat_signature(path):
+            return cached[1]
+        epoch = self._load(index, path)
+        return None if epoch is None else epoch.header()
+
+    def _load(self, index: int, path: str) -> Optional[Epoch]:
         """Epoch ``index`` read and CRC-checked, or ``None`` if damaged.
 
-        Caller holds ``_lock``. A payload verified earlier is served
-        from the cache while the file's stat signature is unchanged.
+        Caller holds ``_lock``. Refreshes the file's header-cache entry;
+        the payload is returned, never cached.
         """
         signature = self._stat_signature(path)
-        cached = self._verified.get(index)
-        if (
-            cached is not None
-            and signature is not None
-            and cached[0] == signature
-        ):
-            return cached[1]
         self._verified.pop(index, None)
         data = self._read_epoch(path)
         if data is None:
@@ -651,8 +749,11 @@ class FileStore(CheckpointStore):
             meta.get("name"),
         )
         if signature is not None:
-            self._verified[index] = (signature, epoch)
+            self._verified[index] = (signature, epoch.header())
         return epoch
+
+    def __len__(self) -> int:
+        return len(self.lineage())
 
     def put_epoch(self, epoch: Epoch, overwrite: bool = False) -> None:
         """Place ``epoch`` at its own index — the read-repair primitive.
@@ -1156,13 +1257,13 @@ class BackgroundWriter(CheckpointStore):
         self.flush()
         return self.backing.lineage()
 
-    def recover(self, registry=None, at=None):
+    def recovery_line(self, at=None, lineage=None) -> List[Epoch]:
         self.flush()
-        return self.backing.recover(registry, at=at)
+        return self.backing.recovery_line(at, lineage)
 
-    def materialize(self, target, registry=None):
+    def recover(self, registry=None, at=None, lineage=None):
         self.flush()
-        return self.backing.materialize(target, registry)
+        return self.backing.recover(registry, at=at, lineage=lineage)
 
     def _compaction_store(self) -> CheckpointStore:
         # the new base needs its real index and the deletes must be
@@ -1214,7 +1315,7 @@ def compact(
             raise StorageError(f"unknown branch {branch!r}; cannot compact")
         head = tips[branch]
     head_epoch = lineage.epoch(head)
-    table = store.materialize(head, registry)
+    table = store.materialize(head, registry, lineage=lineage)
 
     # Re-record every object. Flags are irrelevant here: we synthesize a
     # full checkpoint directly from the table (restored objects are clean).

@@ -186,8 +186,8 @@ class FaultyStore(CheckpointStore):
     def epochs(self) -> List[Epoch]:
         return self.backing.epochs()
 
-    def recover(self, registry=None, at=None):
-        return self.backing.recover(registry, at=at)
+    def recover(self, registry=None, at=None, lineage=None):
+        return self.backing.recover(registry, at=at, lineage=lineage)
 
     def durability(self) -> str:
         return self.backing.durability()
@@ -270,7 +270,7 @@ class ReplicaFaultStore(CheckpointStore):
             size = os.path.getsize(path)
             with open(path, "rb+") as handle:
                 handle.truncate(min(keep, max(size - 1, 0)))
-            # the cached verified payload must not outlive the damage
+            # the cached verified header must not outlive the damage
             with self.backing._lock:
                 self.backing._verified.pop(index, None)
         else:
@@ -322,9 +322,9 @@ class ReplicaFaultStore(CheckpointStore):
         self._check_dead()
         return self.backing.quarantine_epoch(index, reason)
 
-    def recover(self, registry=None, at=None):
+    def recover(self, registry=None, at=None, lineage=None):
         self._check_dead()
-        return self.backing.recover(registry, at=at)
+        return self.backing.recover(registry, at=at, lineage=lineage)
 
     def _serial_translation(self, registry):
         self._check_dead()

@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.checkpoint import (
@@ -158,10 +158,16 @@ class CommitReceipt:
 
 @dataclass
 class CommitResult:
-    """What one commit produced (and how long the strategy took)."""
+    """What one commit produced (and how long the strategy took).
+
+    The result a commit returns carries the epoch's bytes; the copy kept
+    in :attr:`CheckpointSession.history` has ``data=None`` and keeps only
+    :attr:`size` (the bytes live in the store).
+    """
 
     kind: str
-    data: bytes
+    #: the epoch's bytes (``None`` on a history entry)
+    data: Optional[bytes]
     wall_seconds: float
     strategy: str
     phase: Optional[str] = None
@@ -175,10 +181,12 @@ class CommitResult:
     branch: Optional[str] = None
     #: checkpoint name pinned to the epoch (``session.checkpoint(name)``)
     epoch_name: Optional[str] = None
+    #: length of the epoch's bytes (set from ``data`` when it is given)
+    size: int = 0
 
-    @property
-    def size(self) -> int:
-        return len(self.data)
+    def __post_init__(self) -> None:
+        if self.data is not None:
+            self.size = len(self.data)
 
 
 class CheckpointSession:
@@ -287,7 +295,7 @@ class CheckpointSession:
         self.restores = 0
         #: branch forks started through this session
         self.forks = 0
-        #: every commit's :class:`CommitResult`, in order
+        #: every commit's :class:`CommitResult`, in order, without its bytes
         self.history: List[CommitResult] = []
 
     # -- strategy selection --------------------------------------------------
@@ -794,7 +802,7 @@ class CheckpointSession:
             self.compact()
             result.compacted = True
         with self._state_lock:
-            self.history.append(result)
+            self.history.append(replace(result, data=None))
         self._record_commit(result)
 
     def _append(self, kind, data, parent, branch, name) -> Optional[int]:
@@ -991,11 +999,15 @@ class CheckpointSession:
             start = time.perf_counter()
             store = self._require_store("cannot restore state")
             store.flush()
+            # one header scan: the chain is resolved in this lineage and
+            # only its payloads are read
             lineage = store.lineage()
             index = lineage.resolve(target)
             epoch = lineage.epoch(index)
             chain = lineage.chain_indices(index)
-            table = store.materialize(index, self.class_registry)
+            table = store.materialize(
+                index, self.class_registry, lineage=lineage
+            )
             rebound = self._rebind_roots(table, roots)
             self._reset_block_tiers()
             if self._oracle is not None:

@@ -204,52 +204,121 @@ class TestCompressedFileStore:
 
 
 class TestFileStoreEpochCache:
-    """epochs() must verify each epoch file at most once per content."""
+    """The cache holds verified headers; payloads are read on demand."""
 
     @staticmethod
     def _count_reads(monkeypatch):
-        calls = {"n": 0}
+        """Record the path of every epoch file read (and CRC-checked)."""
+        paths = []
         original = FileStore._read_epoch
 
         def counting(path):
-            calls["n"] += 1
+            paths.append(os.path.basename(path))
             return original(path)
 
         monkeypatch.setattr(FileStore, "_read_epoch", staticmethod(counting))
-        return calls
+        return paths
 
-    def test_repeated_epochs_read_each_file_once(self, tmp_path, monkeypatch):
+    def test_repeated_lineage_reads_each_file_once(self, tmp_path, monkeypatch):
         directory = str(tmp_path / "ckpt")
         _persist_history(FileStore(directory))
         reader = FileStore(directory)  # cold cache: knows nothing yet
-        calls = self._count_reads(monkeypatch)
-        first = reader.epochs()
-        assert calls["n"] == 3
-        second = reader.epochs()
-        assert calls["n"] == 3  # all served from the verified cache
-        assert second == first
+        reads = self._count_reads(monkeypatch)
+        first = reader.lineage()
+        assert len(reads) == 3
+        second = reader.lineage()
+        assert len(reads) == 3  # all served from the header cache
+        assert [second.epoch(i) for i in second.indices()] == [
+            first.epoch(i) for i in first.indices()
+        ]
 
     def test_writer_never_rereads_own_appends(self, tmp_path, monkeypatch):
-        calls = self._count_reads(monkeypatch)
+        reads = self._count_reads(monkeypatch)
         store = FileStore(str(tmp_path / "ckpt"))
-        root = _persist_history(store)
-        epochs = store.epochs()
-        assert calls["n"] == 0  # appends seeded the cache
-        assert [e.kind for e in epochs] == [FULL, INCREMENTAL, INCREMENTAL]
-        recovered = store.recover()[root._ckpt_info.object_id]
-        assert structurally_equal(root, recovered, compare_ids=True)
-        assert calls["n"] == 0
+        _persist_history(store)
+        lineage = store.lineage()
+        assert [lineage.epoch(i).kind for i in lineage.indices()] == [
+            FULL, INCREMENTAL, INCREMENTAL,
+        ]
+        assert len(store) == 3
+        assert reads == []  # appends seeded the header cache
 
     def test_only_new_files_are_scanned(self, tmp_path, monkeypatch):
         directory = str(tmp_path / "ckpt")
         _persist_history(FileStore(directory))
         reader = FileStore(directory)
-        reader.epochs()  # warm the cache on epochs 0-2
+        reader.lineage()  # warm the cache on epochs 0-2
         writer = FileStore(directory)  # second handle appends epoch 3
         writer.append(INCREMENTAL, b"")
-        calls = self._count_reads(monkeypatch)
-        assert [e.index for e in reader.epochs()] == [0, 1, 2, 3]
-        assert calls["n"] == 1  # only the new file was read
+        reads = self._count_reads(monkeypatch)
+        assert reader.lineage().indices() == [0, 1, 2, 3]
+        assert reads == ["epoch-000003.ckpt"]  # only the new file was read
+
+    def test_recover_reads_exactly_the_chain(self, tmp_path, monkeypatch):
+        directory = str(tmp_path / "ckpt")
+        store = FileStore(directory)
+        _persist_history(store)
+        root = _persist_history(store)  # a second full base at epoch 3
+        reads = self._count_reads(monkeypatch)
+        recovered = store.recover()[root._ckpt_info.object_id]
+        assert structurally_equal(root, recovered, compare_ids=True)
+        assert reads == [f"epoch-00000{i}.ckpt" for i in (3, 4, 5)]
+        reads.clear()
+        cold = FileStore(directory)
+        cold.lineage()  # verifies all six headers once
+        reads.clear()
+        cold.recover()
+        assert len(reads) == 3
+
+    def test_epochs_read_payloads_on_every_call(self, tmp_path, monkeypatch):
+        store = FileStore(str(tmp_path / "ckpt"))
+        _persist_history(store)
+        reads = self._count_reads(monkeypatch)
+        first = store.epochs()
+        assert store.epochs() == first
+        assert store.epoch_map() == {e.index: e for e in first}
+        assert len(reads) == 9  # nothing is served from memory
+        # the cache kept headers only
+        assert all(not hasattr(header, "data")
+                   for _, header in store._verified.values())
+
+    def test_payload_changed_after_header_verified_fails_recover(
+        self, tmp_path
+    ):
+        directory = str(tmp_path / "ckpt")
+        store = FileStore(directory)
+        root = _persist_history(store)
+        store.lineage()  # every header verified and cached
+        # Corrupt epoch 2's payload in place, keeping its stat signature
+        # (size, mtime, inode): the cached header still vouches for it.
+        path = os.path.join(directory, "epoch-000002.ckpt")
+        before = os.stat(path)
+        with open(path, "r+b") as handle:
+            handle.seek(before.st_size - 1)
+            last = handle.read(1)
+            handle.seek(before.st_size - 1)
+            handle.write(bytes([last[0] ^ 0xFF]))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert store._stat_signature(path) == store._verified[2][0]
+        with pytest.raises(StorageError, match="changed or was damaged"):
+            store.recover()
+        # The failed read dropped the header: the durable prefix now
+        # ends before epoch 2, exactly as a cold store would see it.
+        assert store.lineage().indices() == [0, 1]
+        recovered = store.recover()[root._ckpt_info.object_id]
+        assert recovered.mid.leaf.value == 77
+        assert recovered.extra.label == "extra"
+
+    def test_replaying_a_header_raises(self, tmp_path):
+        from repro.core.errors import RestoreError
+        from repro.core.restore import replay_epochs
+
+        store = FileStore(str(tmp_path / "ckpt"))
+        _persist_history(store)
+        headers = store.lineage().chain(2)
+        assert [type(h).__name__ for h in headers] == ["EpochHeader"] * 3
+        with pytest.raises(RestoreError, match="header without its payload"):
+            replay_epochs(headers)
 
     def test_cached_payload_is_decompressed(self, tmp_path):
         store = FileStore(str(tmp_path / "ckpt"), compress=True)
@@ -315,6 +384,25 @@ class TestNextIndexCache:
         # One scan to seat the counter; every later append uses the cache.
         scans = [path for path in calls if path == store.directory]
         assert len(scans) <= 1
+
+    def test_explicit_parent_append_does_not_list(self, tmp_path, monkeypatch):
+        import repro.core.storage as storage_module
+
+        store = FileStore(str(tmp_path / "ckpt"))
+        _persist_history(store)  # seats the next-index counter
+        calls = []
+        real_listdir = os.listdir
+
+        def counting_listdir(path):
+            calls.append(path)
+            return real_listdir(path)
+
+        monkeypatch.setattr(storage_module.os, "listdir", counting_listdir)
+        # the first commit after a restore or fork pins an explicit parent
+        assert store.append(INCREMENTAL, b"x", parent=1, branch="b") == 3
+        assert calls == []
+        with pytest.raises(StorageError, match="does not exist"):
+            store.append(INCREMENTAL, b"y", parent=99)
 
     def test_cache_survives_compaction(self, tmp_path):
         from repro.core.storage import compact

@@ -7,6 +7,7 @@ racing appends could both scan the directory and claim the same epoch
 index. These tests hammer exactly those interleavings.
 """
 
+import sys
 import threading
 
 import pytest
@@ -30,6 +31,20 @@ def _hammer_epochs(store, stop, errors):
             # indices of the intact prefix must be contiguous from 0
             for position, epoch in enumerate(epochs):
                 assert epoch.index == position
+        except Exception as exc:  # pragma: no cover - the failure we hunt
+            errors.append(exc)
+            return
+
+
+def _hammer_lineage(store, stop, errors):
+    """Header-cache reads: lineage() plus the payload read of its tip."""
+    while not stop.is_set():
+        try:
+            lineage = store.lineage()
+            if len(lineage):
+                assert lineage.indices() == list(range(len(lineage)))
+                line = store.recovery_line(lineage=lineage)
+                assert [epoch.index for epoch in line] == lineage.indices()
         except Exception as exc:  # pragma: no cover - the failure we hunt
             errors.append(exc)
             return
@@ -66,6 +81,37 @@ class TestConcurrentReads:
         epochs = backing.epochs()
         assert len(epochs) == EPOCHS
         assert [epoch.index for epoch in epochs] == list(range(EPOCHS))
+
+    def test_header_cache_while_background_writer_drains(self, tmp_path):
+        backing = FileStore(str(tmp_path / "store"))
+        writer = BackgroundWriter(backing, max_queued=16)
+        stop = threading.Event()
+        errors = []
+        readers = [
+            threading.Thread(
+                target=_hammer_lineage, args=(backing, stop, errors)
+            )
+            for _ in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            writer.append(FULL, b"base")
+            for step in range(1, EPOCHS):
+                writer.append(INCREMENTAL, b"delta-%d" % step)
+            writer.flush()
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=30)
+            writer.close()
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert errors == []
+        assert backing.lineage().indices() == list(range(EPOCHS))
+        assert len(backing.recovery_line()) == EPOCHS
 
     def test_memory_store_concurrent_appends_assign_unique_indices(self):
         store = MemoryStore()
