@@ -5,23 +5,25 @@ package is how the reproduction *tests* that, instead of assuming it:
 
 - :mod:`repro.faults.plan` — seed-driven :class:`FaultPlan`/:class:`FaultSpec`:
   transient errors, torn writes, bit flips, stalls, crash points;
-- :mod:`repro.faults.inject` — :class:`FaultyStore` wrappers executing a
-  plan against real stores;
-- :mod:`repro.faults.crashsim` — the :class:`CrashSim` harness: run a
-  session workload, crash it at every injected point, recover, and
-  assert byte-identical state against a fault-free reference run
+- :mod:`repro.faults.inject` — :class:`FaultyStore` and
+  ``ReplicaFaultStore`` wrappers executing a plan against real stores;
+- :mod:`repro.faults.crashsim` — the one :class:`CrashSim` harness: run
+  any :class:`Scenario` of :func:`build_matrix` on its path (``store``,
+  ``background``, ``branch``, ``replica``), crash it where the plan
+  says, repair and reopen every directory, and assert every surviving
+  epoch byte-identical to a fault-free reference run
   (``python -m repro.faults`` runs the full matrix).
 """
 
 from repro.faults.crashsim import (
     BranchScript,
-    BranchSim,
     CrashSim,
     Scenario,
     ScenarioResult,
     Workload,
     build_branch_matrix,
     build_matrix,
+    build_replica_matrix,
     default_branch_script,
     default_workload,
     table_fingerprint,
@@ -52,7 +54,6 @@ __all__ = [
     "TransientFault",
     "InjectedCrash",
     "CrashSim",
-    "BranchSim",
     "BranchScript",
     "Scenario",
     "ScenarioResult",
@@ -61,6 +62,7 @@ __all__ = [
     "default_branch_script",
     "build_matrix",
     "build_branch_matrix",
+    "build_replica_matrix",
     "table_fingerprint",
     "ALL_KINDS",
     "SESSION_KINDS",

@@ -8,47 +8,35 @@ including crashes inside ``restore()`` and ``fork()`` themselves.
 
 import pytest
 
-from repro.faults import (
-    BranchSim,
-    FaultPlan,
-    FaultSpec,
-    Scenario,
-    build_branch_matrix,
-    default_branch_script,
-)
-from repro.faults.crashsim import BRANCH_PATH, BRANCH_SCRIPT_EPOCHS, CrashSim
-from repro.faults.plan import (
-    CRASH_BEFORE,
-    CRASH_FORK,
-    CRASH_RESTORE,
-    SESSION_KINDS,
-)
+from repro.faults import CrashSim, build_branch_matrix
+from repro.faults.crashsim import BRANCH_PATH, BRANCH_SCRIPT_EPOCHS
+from repro.faults.plan import CRASH_FORK, CRASH_RESTORE, SESSION_KINDS
 
 
 @pytest.fixture(scope="module")
 def branch_results(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("branchsim")
-    sim = BranchSim(str(workdir))
+    sim = CrashSim(str(workdir))
     return sim.run_matrix(build_branch_matrix())
 
 
 class TestReferenceRun:
     def test_reference_covers_every_epoch(self, tmp_path):
-        sim = BranchSim(str(tmp_path))
-        reference = sim.reference()
+        sim = CrashSim(str(tmp_path))
+        reference = sim.reference(BRANCH_PATH)
         assert sorted(reference) == list(range(BRANCH_SCRIPT_EPOCHS))
 
     def test_reference_branches_diverge(self, tmp_path):
         """Epochs 4 (main@2 fork) and 3 (main head) hold different state."""
-        sim = BranchSim(str(tmp_path))
-        reference = sim.reference()
+        sim = CrashSim(str(tmp_path))
+        reference = sim.reference(BRANCH_PATH)
         assert reference[3] != reference[4]
         assert reference[5] != reference[6]
 
 
 class TestBranchMatrix:
     def test_every_scenario_recovers_per_branch(self, branch_results):
-        failed = [r.scenario.name for r in branch_results if not r.ok]
+        failed = [r.name for r in branch_results if not r.ok]
         assert failed == []
 
     def test_matrix_is_deterministic(self):
@@ -90,20 +78,8 @@ class TestBranchMatrix:
 
 
 class TestBranchSimGuards:
-    def test_crashsim_rejects_branch_path(self, tmp_path):
-        from repro.core.errors import StorageError
-
-        sim = CrashSim(str(tmp_path))
-        scenario = Scenario(
-            name="bad",
-            plan=FaultPlan.single(FaultSpec(0, CRASH_BEFORE)),
-            path=BRANCH_PATH,
-        )
-        with pytest.raises(StorageError, match="BranchSim"):
-            sim._make_store(scenario, str(tmp_path / "run-bad"))
-
     def test_script_is_replayable(self, tmp_path):
         """Two fault-free runs of the script produce identical stores."""
-        sim_a = BranchSim(str(tmp_path / "a"))
-        sim_b = BranchSim(str(tmp_path / "b"))
-        assert sim_a.reference() == sim_b.reference()
+        sim_a = CrashSim(str(tmp_path / "a"))
+        sim_b = CrashSim(str(tmp_path / "b"))
+        assert sim_a.reference(BRANCH_PATH) == sim_b.reference(BRANCH_PATH)

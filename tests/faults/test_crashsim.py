@@ -2,16 +2,23 @@
 
 This is the headline robustness test: every seeded scenario runs a real
 checkpoint session under injected faults, "crashes" it, repairs the
-store, and demands the recovered heap be byte-identical to a fault-free
-run at the same durable epoch count. The full matrix runs in well under
+store, and demands every surviving epoch materialize byte-identically to
+a fault-free run at the same epoch index. The full matrix runs in well under
 a second, so the suite runs it wholesale rather than sampling.
 """
 
 import pytest
 
 from repro.faults import CrashSim, FaultPlan, FaultSpec, Scenario, build_matrix
-from repro.faults.crashsim import PATHS, default_workload, run
-from repro.faults.plan import CRASH_KINDS, TRANSIENT
+from repro.faults.crashsim import (
+    BRANCH_PATH,
+    PATHS,
+    REPLICA_PATH,
+    default_workload,
+    run,
+)
+from repro.faults.plan import CRASH_KINDS, KILL_REPLICA, TRANSIENT
+from repro.obs.tracer import MemoryExporter, Tracer
 
 
 @pytest.fixture(scope="module")
@@ -103,9 +110,8 @@ class TestWorkload:
         first = sim.reference()
         second = sim.reference()
         assert first is second
-        # One fingerprint per durable prefix, plus the empty store.
-        assert set(first) == set(range(0, sim.workload.epochs + 1))
-        assert first[0] == b""
+        # One fingerprint per epoch index of the fault-free run.
+        assert set(first) == set(range(sim.workload.epochs))
         assert len(set(first.values())) == len(first)
 
 
@@ -118,6 +124,61 @@ class TestScenarioShapes:
         assert TRANSIENT in kinds
         assert kinds.issuperset(CRASH_KINDS)
 
+    def test_names_and_runs_are_unique(self):
+        scenarios = build_matrix()
+        names = [s.name for s in scenarios]
+        assert len(set(names)) == len(names)
+        keys = {
+            (s.path, tuple(s.plan.specs()), s.replicas, s.quorum)
+            for s in scenarios
+        }
+        assert len(keys) == len(scenarios)
+
+    def test_session_kinds_need_the_branch_path(self):
+        with pytest.raises(Exception, match="needs the 'branch' path"):
+            Scenario(
+                name="bad",
+                plan=FaultPlan.single(FaultSpec(0, "crash-fork")),
+                path="store",
+            )
+
+    def test_replica_kinds_and_sizing_need_the_replica_path(self):
+        with pytest.raises(Exception, match="needs the 'replica' path"):
+            Scenario(
+                name="bad",
+                plan=FaultPlan.single(FaultSpec(0, KILL_REPLICA)),
+                path="background",
+            )
+        with pytest.raises(Exception, match="only to the 'replica' path"):
+            Scenario(name="bad", plan=FaultPlan(), path="store", replicas=5)
+
     def test_unknown_path_rejected(self):
         with pytest.raises(Exception, match="unknown scenario path"):
             Scenario(name="bad", plan=FaultPlan(), path="carrier-pigeon")
+
+
+class TestOneHarness:
+    def test_one_scenario_per_path_under_a_tracer(self, tmp_path):
+        """One sim runs every path and traces each run as one span."""
+        plans = {
+            "store": FaultPlan.single(FaultSpec(2, "crash-after")),
+            "background": FaultPlan.single(FaultSpec(1, TRANSIENT)),
+            BRANCH_PATH: FaultPlan.single(FaultSpec(0, "crash-fork")),
+            REPLICA_PATH: FaultPlan.single(
+                FaultSpec(3, KILL_REPLICA, replica=1)
+            ),
+        }
+        assert set(plans) == set(PATHS)
+        exporter = MemoryExporter()
+        sim = CrashSim(str(tmp_path), tracer=Tracer([exporter]))
+        results = sim.run_matrix(
+            [
+                Scenario(name=f"one-{path}", plan=plan, path=path)
+                for path, plan in plans.items()
+            ]
+        )
+        assert [r.path for r in results] == list(plans)
+        assert all(r.ok for r in results), [r.detail for r in results]
+        ends = exporter.of_type("crashsim.scenario.end")
+        assert sorted(e["path"] for e in ends) == sorted(plans)
+        assert [e["name"] for e in ends] == [r.name for r in results]

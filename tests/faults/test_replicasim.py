@@ -1,4 +1,4 @@
-"""Replica-targeted fault injection and the ReplicaSim matrix."""
+"""Replica-targeted fault injection and the crash matrix's replica path."""
 
 import pytest
 
@@ -15,12 +15,16 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
 )
-from repro.faults.replicasim import (
+from repro.faults.crashsim import (
     REPLICA_PATH,
-    ReplicaScenario,
-    ReplicaSim,
+    CrashSim,
+    Scenario,
     build_replica_matrix,
 )
+
+
+def replica_scenario(name, plan, **sizing):
+    return Scenario(name=name, plan=plan, path=REPLICA_PATH, **sizing)
 
 
 def replicated_with_faults(plan, replicas=3, **kwargs):
@@ -83,22 +87,20 @@ class TestReplicaFaultStore:
 class TestReplicaScenario:
     def test_session_kinds_rejected(self):
         with pytest.raises(StorageError):
-            ReplicaScenario(
-                name="bad",
-                plan=FaultPlan.single(FaultSpec(0, CRASH_RESTORE)),
+            replica_scenario(
+                "bad", FaultPlan.single(FaultSpec(0, CRASH_RESTORE))
             )
 
     def test_out_of_range_replica_rejected(self):
         with pytest.raises(StorageError, match="targets replica 5"):
-            ReplicaScenario(
-                name="bad",
-                plan=FaultPlan.single(FaultSpec(0, KILL_REPLICA, replica=5)),
+            replica_scenario(
+                "bad", FaultPlan.single(FaultSpec(0, KILL_REPLICA, replica=5))
             )
 
     def test_quorum_survival_accounting(self):
-        lossy = ReplicaScenario(
-            name="x",
-            plan=FaultPlan(
+        lossy = replica_scenario(
+            "x",
+            FaultPlan(
                 [
                     FaultSpec(0, KILL_REPLICA, replica=0),
                     FaultSpec(1, KILL_REPLICA, replica=2),
@@ -108,7 +110,7 @@ class TestReplicaScenario:
         assert lossy.killed == 2
         assert lossy.quorum_size == 2
         assert not lossy.quorum_survives
-        wide = ReplicaScenario(name="y", plan=lossy.plan, replicas=5)
+        wide = replica_scenario("y", lossy.plan, replicas=5)
         assert wide.quorum_survives
 
 
@@ -131,15 +133,15 @@ class TestBuildReplicaMatrix:
 
 class TestReplicaSim:
     def run_one(self, tmp_path, scenario):
-        sim = ReplicaSim(str(tmp_path))
+        sim = CrashSim(str(tmp_path))
         return sim.run_scenario(scenario)
 
     def test_single_kill_recovers_identically(self, tmp_path):
         result = self.run_one(
             tmp_path,
-            ReplicaScenario(
-                name="kill-mid",
-                plan=FaultPlan.single(FaultSpec(3, KILL_REPLICA, replica=1)),
+            replica_scenario(
+                "kill-mid",
+                FaultPlan.single(FaultSpec(3, KILL_REPLICA, replica=1)),
             ),
         )
         assert result.ok, result.detail
@@ -149,9 +151,9 @@ class TestReplicaSim:
     def test_corruption_scrubbed_and_identical(self, tmp_path):
         result = self.run_one(
             tmp_path,
-            ReplicaScenario(
-                name="rot-mid",
-                plan=FaultPlan.single(
+            replica_scenario(
+                "rot-mid",
+                FaultPlan.single(
                     FaultSpec(2, CORRUPT_REPLICA, param=33, replica=2)
                 ),
             ),
@@ -162,9 +164,9 @@ class TestReplicaSim:
     def test_quorum_loss_recovers_surviving_prefix(self, tmp_path):
         result = self.run_one(
             tmp_path,
-            ReplicaScenario(
-                name="double-kill",
-                plan=FaultPlan(
+            replica_scenario(
+                "double-kill",
+                FaultPlan(
                     [
                         FaultSpec(1, KILL_REPLICA, replica=0),
                         FaultSpec(2, KILL_REPLICA, replica=1),
@@ -178,9 +180,9 @@ class TestReplicaSim:
     def test_process_crash_on_fanout_stream(self, tmp_path):
         result = self.run_one(
             tmp_path,
-            ReplicaScenario(
-                name="crash-after",
-                plan=FaultPlan.single(FaultSpec(2, CRASH_AFTER)),
+            replica_scenario(
+                "crash-after",
+                FaultPlan.single(FaultSpec(2, CRASH_AFTER)),
             ),
         )
         assert result.crashed
