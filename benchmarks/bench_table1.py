@@ -29,7 +29,11 @@ def bta_state(engine):
 
     def make_dirty():
         for attrs in engine.attributes.entries:
-            attrs.bt_entry.bt._ckpt_info.modified = attrs.node_id % 3 == 0
+            info = attrs.bt_entry.bt.get_checkpoint_info()
+            if attrs.node_id % 3 == 0:
+                info.set_modified()
+            else:
+                info.reset_modified()
 
     return make_dirty
 

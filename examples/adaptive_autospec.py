@@ -121,7 +121,7 @@ def main() -> None:
     check = FullCheckpoint()
     check.checkpoint(plant)
     from repro.core.restore import restore_full
-    recovered = restore_full(check.getvalue())[plant._ckpt_info.object_id]
+    recovered = restore_full(check.getvalue())[plant.get_checkpoint_info().object_id]
     assert structurally_equal(plant, recovered, compare_ids=True)
     print("\nfinal state verified against a fresh full checkpoint")
 

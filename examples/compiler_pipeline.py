@@ -182,7 +182,7 @@ def main() -> None:
         print(f"  named pins: {session.named_checkpoints()}")
 
         relaxed = session.store.materialize("lint")[
-            state._ckpt_info.object_id
+            state.get_checkpoint_info().object_id
         ]
         assert len(relaxed.warnings) <= strict_warnings
         print(

@@ -24,7 +24,12 @@ from __future__ import annotations
 
 import time
 
-from repro.core.checkpoint import Checkpoint, reset_flags
+from repro.core.checkpoint import (
+    Checkpoint,
+    reset_flags,
+    restore_flags,
+    snapshot_flags,
+)
 from repro.core.streams import DataOutputStream
 from repro.lint import LintTarget
 from repro.spec import (
@@ -36,7 +41,7 @@ from repro.spec import (
     SpecCompiler,
     analyze_effects,
 )
-from repro.synthetic.structures import build_structure, structure_objects
+from repro.synthetic.structures import build_structure
 
 NUM_LISTS = 4
 LIST_LENGTH = 8
@@ -73,21 +78,6 @@ LINT_TARGETS = [
         roots=["structure"],
     ),
 ]
-
-
-def snapshot_flags(structure):
-    return [
-        (obj._ckpt_info, obj._ckpt_info.modified)
-        for obj in structure_objects(structure)
-    ]
-
-
-def restore_flags(snapshot) -> None:
-    for info, modified in snapshot:
-        if modified:
-            info.set_modified()
-        else:
-            info.reset_modified()
 
 
 def generic_checkpoint(structure) -> bytes:
@@ -145,7 +135,7 @@ def main() -> None:
     print("=== 4. All three record byte-identical checkpoints ===")
     # STRUCTURE is dirty from the warm-up run; replay the identical flag
     # state into each variant.
-    snapshot = snapshot_flags(STRUCTURE)
+    snapshot = snapshot_flags([STRUCTURE])
     expected = generic_checkpoint(STRUCTURE)
     restore_flags(snapshot)
     guarded_bytes = specialized_checkpoint(guarded_fn, STRUCTURE)

@@ -8,10 +8,10 @@ this module adds a second, coarser dirtiness tier above the flags:
 - the recorded object graph is *partitioned* into blocks — contiguous runs
   of session roots plus everything first reachable from them in the
   drivers' preorder traversal order;
-- every ``modified = True`` flag store bumps the owning block's
-  *generation counter* and *dirty bit* (see
-  :class:`~repro.core.info.CheckpointInfo` — the existing flag-write hooks
-  are reused wholesale, no new instrumentation sites);
+- every flag store bumps the owning block's *generation counter* and
+  *dirty bit* (the write barrier of :func:`~repro.core.info.mark_modified`,
+  which every flag-setting site performs; an object's block is its
+  ``_ckpt_block`` header slot);
 - at commit, a block whose generation still equals its committed
   generation (and whose dirty bit is clear) provably contains no flagged
   object, so the whole run is skipped without traversal; the flag walk
@@ -61,7 +61,7 @@ import hashlib
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import CheckpointError
-from repro.core.info import TOPOLOGY_CLOCK
+from repro.core.info import TOPOLOGY_CLOCK, mark_modified
 from repro.core.streams import DataOutputStream
 
 HASH_OFF = "off"
@@ -187,11 +187,11 @@ class BlockTier:
         stack = [root]
         while stack:
             obj = stack.pop()
-            info = obj._ckpt_info
-            if info.object_id in seen:
+            oid = obj._ckpt_id
+            if oid in seen:
                 continue
-            seen.add(info.object_id)
-            info.block = block
+            seen.add(oid)
+            obj._ckpt_block = block
             stack.extend(reversed(obj.children()))
 
     # -- the skip decision -------------------------------------------------
@@ -217,11 +217,11 @@ class BlockTier:
             stack = [root]
             while stack:
                 obj = stack.pop()
-                info = obj._ckpt_info
-                if info.object_id in seen:
+                oid = obj._ckpt_id
+                if oid in seen:
                     continue
-                seen.add(info.object_id)
-                if info.block is block:
+                seen.add(oid)
+                if obj._ckpt_block is block:
                     yield obj
                 stack.extend(reversed(obj.children()))
 
@@ -229,7 +229,7 @@ class BlockTier:
         """The members' full wire content (id | serial | record, preorder)."""
         out = DataOutputStream()
         for obj in self.members(block):
-            out.write_int32(obj._ckpt_info.object_id)
+            out.write_int32(obj._ckpt_id)
             out.write_int32(obj._ckpt_serial)
             obj.record(out)
         return out.getvalue()
@@ -252,7 +252,7 @@ class BlockTier:
         """Re-flag every member (verify-mode response to a hash mismatch)."""
         count = 0
         for obj in self.members(block):
-            obj._ckpt_info.modified = True
+            mark_modified(obj)
             count += 1
         self.hash_fallbacks += 1
         return count

@@ -30,6 +30,7 @@ from repro.core.checkpointable import (
     reflective_record,
 )
 from repro.core.errors import CycleError
+from repro.core.info import mark_modified
 from repro.core.streams import DataOutputStream, PackedEncoder
 
 
@@ -48,13 +49,12 @@ class Checkpoint:
 
     def checkpoint(self, obj: Checkpointable) -> None:
         """Traverse ``obj``, recording every modified object reachable from it."""
-        info = obj._ckpt_info
-        if info.modified:
+        if obj._ckpt_dirty:
             out = self.out
-            out.write_int32(info.object_id)
+            out.write_int32(obj._ckpt_id)
             out.write_int32(obj._ckpt_serial)
             obj.record(out)
-            info.modified = False
+            obj._ckpt_dirty = False
         obj.fold(self)
 
     def getvalue(self) -> bytes:
@@ -76,11 +76,10 @@ class FullCheckpoint(Checkpoint):
 
     def checkpoint(self, obj: Checkpointable) -> None:
         out = self.out
-        info = obj._ckpt_info
-        out.write_int32(info.object_id)
+        out.write_int32(obj._ckpt_id)
         out.write_int32(obj._ckpt_serial)
         obj.record(out)
-        info.modified = False
+        obj._ckpt_dirty = False
         obj.fold(self)
 
 
@@ -92,13 +91,12 @@ class ReflectiveCheckpoint(Checkpoint):
     """
 
     def checkpoint(self, obj: Checkpointable) -> None:
-        info = obj._ckpt_info
-        if info.modified:
+        if obj._ckpt_dirty:
             out = self.out
-            out.write_int32(info.object_id)
+            out.write_int32(obj._ckpt_id)
             out.write_int32(obj._ckpt_serial)
             reflective_record(obj, out)
-            info.modified = False
+            obj._ckpt_dirty = False
         reflective_fold(obj, self)
 
 
@@ -116,7 +114,7 @@ class CheckingCheckpoint(Checkpoint):
         self._on_path: Set[int] = set()
 
     def checkpoint(self, obj: Checkpointable) -> None:
-        oid = obj._ckpt_info.object_id
+        oid = obj._ckpt_id
         if oid in self._on_path:
             raise CycleError(
                 f"cycle detected: object id {oid} ({type(obj).__name__}) "
@@ -124,13 +122,12 @@ class CheckingCheckpoint(Checkpoint):
             )
         self._on_path.add(oid)
         try:
-            info = obj._ckpt_info
-            if info.modified:
+            if obj._ckpt_dirty:
                 out = self.out
-                out.write_int32(info.object_id)
+                out.write_int32(oid)
                 out.write_int32(obj._ckpt_serial)
                 obj.record(out)
-                info.modified = False
+                obj._ckpt_dirty = False
             obj.fold(self)
         finally:
             self._on_path.discard(oid)
@@ -150,12 +147,11 @@ class IterativeCheckpoint(Checkpoint):
         stack = [obj]
         while stack:
             current = stack.pop()
-            info = current._ckpt_info
-            if info.modified:
-                out.write_int32(info.object_id)
+            if current._ckpt_dirty:
+                out.write_int32(current._ckpt_id)
                 out.write_int32(current._ckpt_serial)
                 current.record(out)
-                info.modified = False
+                current._ckpt_dirty = False
             stack.extend(reversed(current.children()))
 
 
@@ -176,12 +172,11 @@ class PackedCheckpoint:
 
     def checkpoint(self, obj: Checkpointable) -> None:
         """Traverse ``obj``, recording every modified object reachable from it."""
-        info = obj._ckpt_info
-        if info.modified:
+        if obj._ckpt_dirty:
             enc = self.enc
-            enc.put_header(info.object_id, obj._ckpt_serial)
+            enc.put_header(obj._ckpt_id, obj._ckpt_serial)
             obj.record_packed(enc)
-            info.modified = False
+            obj._ckpt_dirty = False
         obj.fold(self)
 
     def getvalue(self) -> bytes:
@@ -200,11 +195,11 @@ def reset_flags(root: Checkpointable) -> None:
     seen: Set[int] = set()
     while stack:
         obj = stack.pop()
-        oid = obj._ckpt_info.object_id
+        oid = obj._ckpt_id
         if oid in seen:
             continue
         seen.add(oid)
-        obj._ckpt_info.modified = False
+        obj._ckpt_dirty = False
         stack.extend(obj.children())
 
 
@@ -221,19 +216,26 @@ def snapshot_flags(roots) -> list:
     seen: Set[int] = set()
     while stack:
         obj = stack.pop()
-        info = obj._ckpt_info
-        if info.object_id in seen:
+        oid = obj._ckpt_id
+        if oid in seen:
             continue
-        seen.add(info.object_id)
-        state.append((info, info.modified))
+        seen.add(oid)
+        state.append((obj, obj._ckpt_dirty))
         stack.extend(obj.children())
     return state
 
 
 def restore_flags(state) -> None:
-    """Reinstate the flags captured by :func:`snapshot_flags`."""
-    for info, modified in state:
-        info.modified = modified
+    """Reinstate the flags captured by :func:`snapshot_flags`.
+
+    A reinstated set flag goes through the write barrier, so the block
+    tier sees it exactly as it saw the original mutation.
+    """
+    for obj, modified in state:
+        if modified:
+            mark_modified(obj)
+        else:
+            obj._ckpt_dirty = False
 
 
 def set_all_flags(root: Checkpointable) -> None:
@@ -242,11 +244,11 @@ def set_all_flags(root: Checkpointable) -> None:
     seen: Set[int] = set()
     while stack:
         obj = stack.pop()
-        oid = obj._ckpt_info.object_id
+        oid = obj._ckpt_id
         if oid in seen:
             continue
         seen.add(oid)
-        obj._ckpt_info.modified = True
+        mark_modified(obj)
         stack.extend(obj.children())
 
 
@@ -257,7 +259,7 @@ def collect_objects(root: Checkpointable) -> list:
     seen: Set[int] = set()
     while stack:
         obj = stack.pop()
-        oid = obj._ckpt_info.object_id
+        oid = obj._ckpt_id
         if oid in seen:
             continue
         seen.add(oid)

@@ -40,7 +40,7 @@ from typing import Any, ClassVar, Dict, List, Optional
 from repro.core.errors import SchemaError
 from repro.core.fields import FieldSpec, TrackedList, _FieldDescriptor
 from repro.core.ids import DEFAULT_ALLOCATOR
-from repro.core.info import CheckpointInfo
+from repro.core.info import HEADER_SLOTS, CheckpointInfo
 from repro.core.registry import DEFAULT_REGISTRY, ClassRegistry
 from repro.core.streams import DataOutputStream
 
@@ -77,13 +77,13 @@ def _generate_record(schema: List[FieldSpec]) -> str:
         elif field.role == "child":
             lines.append(f"    _c = {slot}")
             lines.append(
-                "    out.write_int32(_c._ckpt_info.object_id if _c is not None else -1)"
+                "    out.write_int32(_c._ckpt_id if _c is not None else -1)"
             )
         elif field.role == "child_list":
             lines.append(f"    _v = {slot}._items")
             lines.append("    out.write_int32(len(_v))")
             lines.append("    for _c in _v:")
-            lines.append("        out.write_int32(_c._ckpt_info.object_id)")
+            lines.append("        out.write_int32(_c._ckpt_id)")
         else:  # pragma: no cover - guarded by field constructors
             raise SchemaError(f"unknown field role {field.role!r}")
     return "\n".join(lines)
@@ -159,7 +159,7 @@ def _generate_record_packed(schema: List[FieldSpec]) -> str:
                     "i",
                     4,
                     [f"    {temp} = {slot}"],
-                    f"({temp}._ckpt_info.object_id if {temp} is not None else -1)",
+                    f"({temp}._ckpt_id if {temp} is not None else -1)",
                 )
             )
         elif field.role == "scalar_list":
@@ -188,7 +188,7 @@ def _generate_record_packed(schema: List[FieldSpec]) -> str:
             lines.append("    if _n:")
             lines.append(
                 "        _pack_into('<%di' % _n, buf, _p + 4, "
-                "*[_c._ckpt_info.object_id for _c in _v])"
+                "*[_c._ckpt_id for _c in _v])"
             )
             lines.append("    enc.pos = _p + 4 + 4 * _n")
         else:  # pragma: no cover - guarded by field constructors
@@ -283,9 +283,9 @@ class _CheckpointableMeta(type):
     it declares itself, plus any names its body lists in ``__slots__``
     (transient attributes: never part of the schema, never recorded).
     Instances therefore carry no per-object ``__dict__``, the analog of
-    the fixed field layout Java gives the paper's ``CheckpointInfo``
-    field, and an assignment to an undeclared attribute raises
-    :class:`AttributeError` instead of silently escaping the checkpoint.
+    the fixed field layout Java gives a class, and an assignment to an
+    undeclared attribute raises :class:`AttributeError` instead of
+    silently escaping the checkpoint.
     """
 
     def __new__(mcls, name, bases, namespace, **kwargs):
@@ -316,9 +316,16 @@ class Checkpointable(metaclass=_CheckpointableMeta):
     Instances are slot-backed (see :class:`_CheckpointableMeta`): declare
     checkpointed state as fields, and list transient per-instance state
     in the class body's ``__slots__``.
+
+    The paper's per-object ``CheckpointInfo`` is folded into three header
+    slots declared here (see :mod:`repro.core.info`): ``_ckpt_id``, the
+    unique identifier; ``_ckpt_dirty``, the modification flag; and
+    ``_ckpt_block``, the dirtiness block (None until a
+    :class:`~repro.core.blocks.BlockTier` partitions the graph). An object
+    is one allocation; :meth:`get_checkpoint_info` returns a view.
     """
 
-    __slots__ = ("_ckpt_info",)
+    __slots__ = HEADER_SLOTS
 
     _ckpt_schema: ClassVar[List[FieldSpec]] = []
     _ckpt_serial: ClassVar[int] = -1
@@ -374,7 +381,9 @@ class Checkpointable(metaclass=_CheckpointableMeta):
             )
 
     def __init__(self, **field_values: Any) -> None:
-        self._ckpt_info = CheckpointInfo(DEFAULT_ALLOCATOR.allocate(), True)
+        self._ckpt_id = DEFAULT_ALLOCATOR.allocate()
+        self._ckpt_dirty = True
+        self._ckpt_block = None
         self._init_defaults()
         if field_values:
             schema_names = {spec.name for spec in self._ckpt_schema}
@@ -389,8 +398,16 @@ class Checkpointable(metaclass=_CheckpointableMeta):
     # -- the paper's Checkpointable interface ------------------------------
 
     def get_checkpoint_info(self) -> CheckpointInfo:
-        """The object's identifier + modification flag (paper Figure 1)."""
-        return self._ckpt_info
+        """The object's identifier + modification flag (paper Figure 1).
+
+        A fresh view of the header slots on each call; it holds no state
+        of its own.
+        """
+        return CheckpointInfo(self)
+
+    #: Read-only alias of :meth:`get_checkpoint_info`, kept for callers
+    #: written against the separate-header layout; nothing is stored.
+    _ckpt_info = property(get_checkpoint_info)
 
     def record(self, out) -> None:  # pragma: no cover - replaced per class
         """Record the complete local state into ``out`` (generated)."""
@@ -422,7 +439,9 @@ class Checkpointable(metaclass=_CheckpointableMeta):
     def _blank(cls, object_id: int) -> "Checkpointable":
         """An uninitialized instance used by restore (bypasses ``__init__``)."""
         obj = cls.__new__(cls)
-        obj._ckpt_info = CheckpointInfo(object_id=object_id, modified=False)
+        obj._ckpt_id = object_id
+        obj._ckpt_dirty = False
+        obj._ckpt_block = None
         obj._init_defaults()
         return obj
 
@@ -439,7 +458,7 @@ class Checkpointable(metaclass=_CheckpointableMeta):
         return found
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} id={self._ckpt_info.object_id}>"
+        return f"<{type(self).__name__} id={self._ckpt_id}>"
 
 
 def reflective_record(obj: Checkpointable, out) -> None:
@@ -458,11 +477,11 @@ def reflective_record(obj: Checkpointable, out) -> None:
             for element in value._items:
                 _write_scalar(out, spec.kind, element)
         elif spec.role == "child":
-            out.write_int32(value._ckpt_info.object_id if value is not None else -1)
+            out.write_int32(value._ckpt_id if value is not None else -1)
         else:  # child_list
             out.write_int32(len(value._items))
             for element in value._items:
-                out.write_int32(element._ckpt_info.object_id)
+                out.write_int32(element._ckpt_id)
 
 
 def reflective_fold(obj: Checkpointable, ckpt) -> None:

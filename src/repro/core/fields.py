@@ -17,6 +17,10 @@ and the framework derives, per class, the wire schema and the generated
 ``record``/``fold``/``restore_local`` methods. Every assignment through a
 descriptor sets the owner's modification flag, which is what makes the
 incremental checkpoints of the paper safe without any programmer effort.
+That write barrier is :func:`repro.core.info.mark_modified`: the flag
+store on the owner's ``_ckpt_dirty`` slot plus, once the owner is
+partitioned, its block's generation bump. Scalar writes and
+:class:`TrackedList` mutations, the hot paths, inline it.
 
 Field kinds
 -----------
@@ -41,7 +45,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.core.errors import SchemaError
-from repro.core.info import note_topology_change
+from repro.core.info import GENERATION_MASK, mark_modified, note_topology_change
 
 SCALAR_KINDS = ("int", "float", "bool", "str")
 
@@ -74,7 +78,11 @@ class TrackedList:
     def _touch(self) -> None:
         owner = self._owner
         if owner is not None:
-            owner._ckpt_info.modified = True
+            owner._ckpt_dirty = True
+            block = owner._ckpt_block
+            if block is not None:
+                block.generation = (block.generation + 1) & GENERATION_MASK
+                block.dirty = True
         if self._topo:
             note_topology_change()
 
@@ -198,7 +206,11 @@ class _FieldDescriptor:
 
     def __set__(self, instance: Any, value: Any) -> None:
         setattr(instance, self.slot, value)
-        instance._ckpt_info.modified = True
+        instance._ckpt_dirty = True
+        block = instance._ckpt_block
+        if block is not None:
+            block.generation = (block.generation + 1) & GENERATION_MASK
+            block.dirty = True
 
 
 class _Scalar(_FieldDescriptor):
@@ -226,7 +238,7 @@ class _ScalarList(_FieldDescriptor):
         if not isinstance(value, TrackedList) or value._owner is not instance:
             value = TrackedList(instance, value)
         setattr(instance, self.slot, value)
-        instance._ckpt_info.modified = True
+        mark_modified(instance)
 
 
 class _Child(_FieldDescriptor):
@@ -240,7 +252,7 @@ class _Child(_FieldDescriptor):
     def __set__(self, instance: Any, value: Any) -> None:
         old = getattr(instance, self.slot, None)
         setattr(instance, self.slot, value)
-        instance._ckpt_info.modified = True
+        mark_modified(instance)
         if value is not old and (old is not None or value is not None):
             note_topology_change()
 
@@ -258,7 +270,7 @@ class _ChildList(_FieldDescriptor):
         else:
             value._topo = True
         setattr(instance, self.slot, value)
-        instance._ckpt_info.modified = True
+        mark_modified(instance)
         note_topology_change()
 
 

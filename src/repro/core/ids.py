@@ -56,5 +56,6 @@ class IdAllocator:
                 self._last = used_id
 
 
-#: Process-wide default allocator used by :class:`repro.core.info.CheckpointInfo`.
+#: Process-wide default allocator of checkpointable identifiers
+#: (:class:`repro.core.checkpointable.Checkpointable`).
 DEFAULT_ALLOCATOR = IdAllocator()

@@ -46,7 +46,7 @@ class ObjectTable:
         return self._objects.get(object_id)
 
     def add(self, obj: Checkpointable) -> None:
-        self._objects[obj._ckpt_info.object_id] = obj
+        self._objects[obj._ckpt_id] = obj
 
     def __contains__(self, object_id: int) -> bool:
         return object_id in self._objects
@@ -144,7 +144,7 @@ def apply_stream(
         obj = table[inp.read_int32()]
         inp.read_int32()
         obj.restore_local(inp, table)
-        obj._ckpt_info.modified = False
+        obj._ckpt_dirty = False
     return count
 
 
@@ -261,7 +261,7 @@ def _state_tokens(root: Checkpointable, include_ids: bool) -> Iterable[str]:
     stack: List[Checkpointable] = [root]
     while stack:
         obj = stack.pop()
-        oid = obj._ckpt_info.object_id
+        oid = obj._ckpt_id
         if oid in ordinals:
             yield f"ref:{ordinals[oid]}"
             continue

@@ -1323,7 +1323,7 @@ def compact(
 
     out = DataOutputStream()
     for obj in table.objects():
-        out.write_int32(obj._ckpt_info.object_id)
+        out.write_int32(obj._ckpt_id)
         out.write_int32(obj._ckpt_serial)
         obj.record(out)
     new_index = store.append(

@@ -6,13 +6,18 @@ modification flag:
 
 ``flag-write``
     A direct assignment to a ``.modified`` attribute. The flag protocol
-    owns that bit (:meth:`repro.core.info.CheckpointInfo.set_modified` and
+    owns that bit (:func:`repro.core.info.mark_modified` and
     the generated checkpointers reset it); writing it by hand can hide a
     real modification from every later incremental checkpoint.
 ``slot-write``
     A direct assignment to a ``._f_<name>`` slot. Slots are the storage
     behind the flagging field descriptors; writing one bypasses
     ``__set__`` and the owner stays clean while its state changed.
+``header-write``
+    A direct assignment to a checkpointable's header slot (``._ckpt_id``,
+    ``._ckpt_dirty`` or ``._ckpt_block``). A flag store there skips the
+    block-tier half of the write barrier, and an id or block store
+    corrupts the object's identity or its dirtiness block.
 
 The framework core (``repro/core``) implements the protocol and is
 exempt; everything else — user programs, examples, the synthetic
@@ -25,6 +30,7 @@ import ast
 from pathlib import PurePosixPath
 from typing import List
 
+from repro.core.info import HEADER_SLOTS
 from repro.lint.findings import Finding
 
 #: directory chains whose files implement the flag protocol itself
@@ -100,6 +106,18 @@ def _check_target(filename: str, target: ast.expr) -> List[Finding]:
                 "direct write to a .modified flag bypasses the flagging "
                 "protocol (use CheckpointInfo.set_modified, or let field "
                 "descriptors flag the owner)",
+                filename=filename,
+                lineno=target.lineno,
+            )
+        )
+    elif target.attr in HEADER_SLOTS:
+        findings.append(
+            Finding(
+                "warning",
+                "header-write",
+                f"direct write to header slot {target.attr!r} bypasses the "
+                "write barrier (use CheckpointInfo.set_modified / "
+                "reset_modified, or let field descriptors flag the owner)",
                 filename=filename,
                 lineno=target.lineno,
             )

@@ -272,6 +272,9 @@ class CheckpointSession:
         self._closed = False
         #: the next policy-decided epoch must be a full (chain repair)
         self._escalate_full = False
+        #: the store chain the next epoch extends is known to reach a
+        #: full epoch (see _chain_has_base)
+        self._chain_based = False
         #: lineage branch the next commit appends to
         self._branch = MAIN_BRANCH
         #: explicit parent the next commit must pin to (set by restore/fork;
@@ -452,7 +455,10 @@ class CheckpointSession:
         After a specialized commit fell back to the generic driver (see
         :class:`CommitReceipt`), the next policy-decided commit is
         escalated to a full checkpoint regardless of cadence, so the
-        delta chain regains a sound base.
+        delta chain regains a sound base. Likewise, a policy-decided
+        commit whose chain in the store has no full ancestor yet (no
+        :meth:`base` was taken) is recorded as a full epoch: a store of
+        deltas alone could not be recovered.
         """
         strategy = self.strategy_for(phase)
         escalated = False
@@ -463,8 +469,8 @@ class CheckpointSession:
                 kind = self.policy.kind_for(
                     self.commits, self.deltas_since_full
                 )
-                if kind == FULL:
-                    strategy = _FULL_DRIVER
+                if kind == FULL or not self._chain_has_base():
+                    kind, strategy = FULL, _FULL_DRIVER
         elif kind not in _KIND_CODES:
             raise StorageError(f"unknown checkpoint kind {kind!r}")
         return self._commit(
@@ -475,6 +481,31 @@ class CheckpointSession:
             escalated=escalated,
             name=name,
         )
+
+    def _chain_has_base(self) -> bool:
+        """Whether the next epoch's chain in the store reaches a full epoch.
+
+        Checked against the lineage until the answer is yes; from then
+        on every epoch of the session chains to that base (a restore
+        lands on a materialized chain, a fork on the current tip). A
+        session without a store has no chain to recover.
+        """
+        if self._chain_based or self.store is None:
+            return True
+        with self._state_lock:
+            parent = self._pending_parent
+            branch = self._branch
+        lineage = self.store.lineage()
+        if parent is None:
+            parent = lineage.branches().get(branch)
+        if parent is not None:
+            try:
+                lineage.chain(parent)
+            except StorageError:
+                return False
+            with self._state_lock:
+                self._chain_based = True
+        return self._chain_based
 
     def attach_oracle(self, oracle) -> None:
         """Hook a :class:`~repro.sanitize.oracle.ShadowHeapOracle` in.
@@ -791,6 +822,7 @@ class CheckpointSession:
             self.bytes_written += result.size
             if result.kind == FULL:
                 self.deltas_since_full = 0
+                self._chain_based = True
             else:
                 self.deltas_since_full += 1
             should_compact = self.store is not None and (
@@ -1025,6 +1057,7 @@ class CheckpointSession:
                 self._branch = branch
                 self._pending_parent = index
                 self._escalate_full = False
+                self._chain_based = True
                 self.deltas_since_full = len(chain) - 1
                 self.restores += 1
             wall = time.perf_counter() - start
@@ -1109,7 +1142,7 @@ class CheckpointSession:
         current = self._roots()
         restored = []
         for root in current:
-            object_id = root._ckpt_info.object_id
+            object_id = root._ckpt_id
             found = table.get(object_id)
             if found is None:
                 raise RestoreError(

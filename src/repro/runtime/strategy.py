@@ -44,6 +44,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.checkpointable import Checkpointable
 from repro.core.errors import CheckpointError, PatternViolationError
+from repro.core.info import clear_modified
 from repro.core.streams import DataOutputStream, PackedEncoder
 from repro.spec.autospec import AutoSpecializer, PatternObserver
 from repro.spec.effects.analysis import EffectReport
@@ -185,7 +186,7 @@ class DifferentialStrategy(Strategy):
                 # Flags were raised but the content round-tripped back to
                 # its committed state: clear the flags, emit nothing.
                 for obj in tier.members(block):
-                    obj._ckpt_info.reset_modified()
+                    clear_modified(obj)
                 tier.mark_committed(block)
                 hash_skips += 1
                 continue

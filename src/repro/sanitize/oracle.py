@@ -77,11 +77,11 @@ def serialize_fields(obj) -> FieldImage:
         elif spec.role == "scalar_list":
             encoded = repr(value._items).encode("utf-8", "backslashreplace")
         elif spec.role == "child":
-            child_id = value._ckpt_info.object_id if value is not None else -1
+            child_id = value._ckpt_id if value is not None else -1
             encoded = str(child_id).encode("ascii")
         else:  # child_list
             encoded = ",".join(
-                str(c._ckpt_info.object_id) for c in value._items
+                str(c._ckpt_id) for c in value._items
             ).encode("ascii")
         image.append((spec.name, encoded))
     return tuple(image)
@@ -208,7 +208,7 @@ class ShadowHeapOracle:
         seen: Set[int] = set()
         for root in roots:
             for obj in collect_objects(root):
-                oid = obj._ckpt_info.object_id
+                oid = obj._ckpt_id
                 if oid not in seen:
                     seen.add(oid)
                     objects.append(obj)
@@ -226,13 +226,12 @@ class ShadowHeapOracle:
         enforce = commit_kind != "full"
         staged: Dict[int, Tuple[str, FieldImage]] = {}
         for obj in self._walk(roots):
-            info = obj._ckpt_info
-            oid = info.object_id
+            oid = obj._ckpt_id
             cls_name = type(obj).__name__
             image = serialize_fields(obj)
             staged[oid] = (cls_name, image)
             report.objects += 1
-            flagged = info.modified
+            flagged = obj._ckpt_dirty
             if flagged:
                 report.predicted += 1
             prior = self._shadow.get(oid)
@@ -306,7 +305,7 @@ class ShadowHeapOracle:
         with self._mutex:
             self._staged = None
             self._shadow = {
-                obj._ckpt_info.object_id: (
+                obj._ckpt_id: (
                     type(obj).__name__,
                     serialize_fields(obj),
                 )

@@ -64,7 +64,7 @@ class PatternObserver:
         return len(self._seen_dirty) - before
 
     def _walk(self, obj: Checkpointable, node: ShapeNode) -> None:
-        if obj._ckpt_info.modified:
+        if obj._ckpt_dirty:
             self._seen_dirty.add(node.path)
         for edge in node.edges:
             child = self._follow(obj, edge)

@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.core.errors import SpecializationError
+from repro.core.info import HEADER_SLOTS
 from repro.spec import ir
 from repro.spec.modpattern import ModificationPattern
 from repro.spec.shape import ShapeNode
@@ -201,7 +202,14 @@ def _annotate_stmt(stmt: ir.Stmt, ctx: BTContext) -> None:
         _annotate_expr(stmt.expr, ctx)
         stmt.bt = "residual"
     elif isinstance(stmt, ir.SetAttr):
-        _annotate_expr(stmt.base, ctx)
+        base = _annotate_expr(stmt.base, ctx)
+        if base[0] == "PS" and (
+            stmt.field == ir.INFO_FIELD or stmt.field in HEADER_SLOTS
+        ):
+            raise SpecializationError(
+                f"IR writes header slot {stmt.field!r} of a checkpointable "
+                "object directly; flag writes go through its CheckpointInfo"
+            )
         _annotate_expr(stmt.expr, ctx)
         stmt.bt = "residual"
     elif isinstance(stmt, ir.WriteScalarList):

@@ -7,7 +7,9 @@ monolithic Python function ``def <name>(root, out)`` and compiled. The
 emitted code contains no virtual calls and no framework entry points —
 only attribute reads, flag tests for positions that may genuinely be
 modified, typed writes, and flag resets, exactly like the paper's
-Figure 5/6 output.
+Figure 5/6 output. Header reads are lowered to the object's own slots
+(:data:`repro.spec.ir.INFO_SLOTS`): ``n._ckpt_info.modified`` in the
+IR becomes ``n._ckpt_dirty`` in the emitted source.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class _Emitter:
         if isinstance(node, ir.Const):
             return repr(node.value)
         if isinstance(node, ir.FieldGet):
-            return f"{self.expr(node.base)}.{node.field}"
+            return self.attr(node.base, node.field)
         if isinstance(node, ir.IndexGet):
             return f"{self.expr(node.base)}._items[{node.index}]"
         if isinstance(node, ir.ListLen):
@@ -60,6 +62,12 @@ class _Emitter:
         raise SpecializationError(
             f"expression {node!r} survived specialization but cannot be emitted"
         )
+
+    def attr(self, base: ir.Expr, field: str) -> str:
+        """``base.field``, with header reads lowered to the object's slots."""
+        if field == ir.INFO_FIELD:
+            return self.expr(base)
+        return f"{self.expr(base)}.{ir.INFO_SLOTS.get(field, field)}"
 
     # -- statements -------------------------------------------------------------
 
@@ -82,7 +90,7 @@ class _Emitter:
             self.lines.append(f"{pad}{writer}({self.expr(node.expr)})")
         elif isinstance(node, ir.SetAttr):
             self.lines.append(
-                f"{pad}{self.expr(node.base)}.{node.field} = {self.expr(node.expr)}"
+                f"{pad}{self.attr(node.base, node.field)} = {self.expr(node.expr)}"
             )
         elif isinstance(node, ir.WriteScalarList):
             self.used_kinds.add(node.kind)
@@ -101,7 +109,7 @@ class _Emitter:
             self.lines.append(f"{pad}{values} = {self.expr(node.expr)}._items")
             self.lines.append(f"{pad}_w_i(len({values}))")
             self.lines.append(f"{pad}for {element} in {values}:")
-            self.lines.append(f"{pad}    _w_i({element}._ckpt_info.object_id)")
+            self.lines.append(f"{pad}    _w_i({element}._ckpt_id)")
         elif isinstance(node, ir.Guard):
             self.lines.append(f"{pad}if not {self.expr(node.cond)}:")
             self.lines.append(

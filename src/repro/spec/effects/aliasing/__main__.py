@@ -245,7 +245,7 @@ def _runtime_workloads() -> List[Tuple[str, "callable"]]:
         # restore rebinds the session's roots to the restored objects;
         # follow the table so later mutations hit the live graph
         table = session.restore(0)
-        roots = [table.get(r._ckpt_info.object_id) for r in roots]
+        roots = [table.get(r._ckpt_id) for r in roots]
         for compound in roots:
             element = element_at(compound, 1, 0)
             setattr(element, field, getattr(element, field) + 7)

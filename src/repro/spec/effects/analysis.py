@@ -49,6 +49,7 @@ import types
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.errors import EffectAnalysisError
+from repro.core.info import HEADER_SLOTS
 from repro.spec.effects.callgraph import (
     CallGraph,
     CallSummary,
@@ -614,6 +615,14 @@ class EffectAnalyzer:
                     "replacing _ckpt_info defeats modification tracking",
                 )
                 self._effect(path, target, frame, "assignment to _ckpt_info")
+                continue
+            if attr in HEADER_SLOTS:
+                self._caution(
+                    target, frame,
+                    f"direct write to header slot {attr!r} bypasses the "
+                    "write barrier",
+                )
+                self._effect(path, target, frame, f"assignment to {attr}")
                 continue
             name = attr[3:] if attr.startswith("_f_") else attr
             spec = self._field_by_name(node, name)

@@ -23,8 +23,8 @@ locks effectively held at it, and evaluates the rule family:
     ``time.sleep`` runs while a lock is held: every other thread needing
     that lock stalls behind I/O or a wait.
 ``flag-mutation-outside-commit`` (warning)
-    A dirty-flag mutation (``.modified`` assignment, ``set_modified()``,
-    ``_f_*`` slot write) is reachable from a thread entry point. The
+    A dirty-flag mutation (``.modified`` or ``._ckpt_dirty`` assignment,
+    ``set_modified()``, ``_f_*`` slot write) is reachable from a thread entry point. The
     paper's incremental-checkpoint correctness argument assumes the
     write-barrier flags are mutated only by the committing thread;
     flag traffic from a background thread can dirty (or clean) state

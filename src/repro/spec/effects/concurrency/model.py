@@ -17,8 +17,9 @@ AST:
   interprocedurally),
 - **blocking operations** (``os.fsync``, ``Queue.get/put``, ``Thread.join``,
   ``Event.wait``, ``time.sleep``) and where they happen,
-- **dirty-flag mutations** (``.modified`` / ``set_modified`` / ``_f_*``
-  writes) for the paper's write-barrier discipline.
+- **dirty-flag mutations** (``.modified`` / ``._ckpt_dirty`` /
+  ``set_modified`` / ``_f_*`` writes) for the paper's write-barrier
+  discipline.
 
 Extraction is purely syntactic — no import is required, so even modules
 that cannot be imported (or that would start threads at import time) are
@@ -593,7 +594,7 @@ class _MethodExtractor:
                 self._scan_target(element, held, via)
             return
         # any attribute write can violate the dirty-flag discipline
-        # (obj.modified = ..., self.peer._ckpt_info.modified = ...),
+        # (obj.modified = ..., self.peer._ckpt_dirty = ...),
         # whatever the receiver chain roots at
         if isinstance(target, ast.Attribute):
             self._flag_check(target.attr, target.lineno)
@@ -612,7 +613,7 @@ class _MethodExtractor:
             self._scan_expr(target.slice, held)
 
     def _flag_check(self, attr: str, lineno: int) -> None:
-        if attr == "modified" or attr.startswith("_f_"):
+        if attr in ("modified", "_ckpt_dirty") or attr.startswith("_f_"):
             if not self._suppressed(lineno, f"flag write .{attr}"):
                 self.method.flag_mutations.append(
                     FlagMutation(f".{attr} assignment", self.method.name, lineno)

@@ -37,12 +37,13 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.checkpoint import (
     CheckingCheckpoint,
-    collect_objects,
     reset_flags,
+    restore_flags,
+    snapshot_flags,
 )
 from repro.core.streams import DataOutputStream
 from repro.spec.effects.analysis import EffectReport, analyze_effects
@@ -97,40 +98,24 @@ class CrosscheckResult:
 # -- helpers -----------------------------------------------------------------
 
 
-def _snapshot_flags(roots) -> List[Tuple[object, bool]]:
-    return [
-        (obj._ckpt_info, obj._ckpt_info.modified)
-        for root in roots
-        for obj in collect_objects(root)
-    ]
-
-
-def _restore_flags(snapshot) -> None:
-    for info, modified in snapshot:
-        if modified:
-            info.set_modified()
-        else:
-            info.reset_modified()
-
-
 def _checking_bytes(roots) -> bytes:
     """One ``checking``-driver checkpoint of ``roots`` (flags preserved)."""
-    saved = _snapshot_flags(roots)
+    saved = snapshot_flags(roots)
     out = DataOutputStream()
     driver = CheckingCheckpoint(out)
     for root in roots:
         driver.checkpoint(root)
-    _restore_flags(saved)
+    restore_flags(saved)
     return out.getvalue()
 
 
 def _inferred_bytes(report: EffectReport, name: str, roots) -> bytes:
     """One checkpoint through the unguarded inferred specialization."""
     compiled = SpecCompiler().compile(SpecClass.from_report(report, name=name))
-    saved = _snapshot_flags(roots)
+    saved = snapshot_flags(roots)
     out = DataOutputStream()
     compiled.checkpoint_all(roots, out)
-    _restore_flags(saved)
+    restore_flags(saved)
     return out.getvalue()
 
 
@@ -163,7 +148,7 @@ def _dirty_paths(shape: Shape, root) -> List[Path]:
     dirty: List[Path] = []
 
     def visit(obj, node) -> None:
-        if obj._ckpt_info.modified:
+        if obj._ckpt_dirty:
             dirty.append(node.path)
         for edge in node.edges:
             child = ModificationPattern._follow(obj, edge)

@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.core.errors import ResidualVerificationError
+from repro.core.info import HEADER_SLOTS
 from repro.spec import ir
 from repro.spec.modpattern import ModificationPattern
 from repro.spec.shape import Path, Shape
@@ -253,6 +254,11 @@ class _Verifier:
         if isinstance(stmt, ir.SetAttr):
             # the only legal SetAttr is the validated flag reset closing a
             # record block, which _record_block consumes before walking
+            if stmt.field == ir.INFO_FIELD or stmt.field in HEADER_SLOTS:
+                self.fail(
+                    f"direct write to header slot {stmt.field!r} bypasses "
+                    f"the flag protocol: {stmt!r}"
+                )
             self.fail(f"stray attribute write outside a record block: {stmt!r}")
         if isinstance(stmt, ir.Guard):
             self._check_guard(stmt)

@@ -13,6 +13,12 @@ Expressions
     A local variable or parameter.
 ``FieldGet(base, field)``
     Attribute read ``base.field`` (slots, ``_ckpt_info``, ``modified``, …).
+    Header reads keep the paper's Java shape — ``o._ckpt_info`` yields the
+    object's ``CheckpointInfo``, whose ``modified`` and ``object_id`` are
+    read next — so the IR and its metered op counts match Figure 1. At
+    run time the header is the object's own slots; :data:`INFO_SLOTS`
+    is the lowering the Python backends apply (``_ckpt_info`` is the
+    object itself).
 ``IndexGet(base, index)``
     ``base._items[index]`` — element of a tracked list.
 ``ListLen(base)``
@@ -39,6 +45,12 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence
 
 WRITE_KINDS = ("int", "float", "bool", "str")
+
+#: the IR's ``CheckpointInfo`` read: lowered to the object itself
+INFO_FIELD = "_ckpt_info"
+
+#: ``CheckpointInfo`` attributes and the header slots they lower to
+INFO_SLOTS = {"modified": "_ckpt_dirty", "object_id": "_ckpt_id"}
 
 
 class Node:

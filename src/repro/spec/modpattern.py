@@ -198,7 +198,7 @@ class ModificationPattern:
         violations: List[Path] = []
 
         def visit(obj, node: ShapeNode) -> None:
-            if obj._ckpt_info.modified and not self.node_may_be_modified(node):
+            if obj._ckpt_dirty and not self.node_may_be_modified(node):
                 violations.append(node.path)
             for edge in node.edges:
                 child = self._follow(obj, edge)

@@ -110,7 +110,7 @@ class Shape:
         seen: Dict[int, Path] = {}
 
         def build(obj: Checkpointable, path: Path, on_path: frozenset) -> ShapeNode:
-            oid = obj._ckpt_info.object_id
+            oid = obj._ckpt_id
             if oid in on_path:
                 raise CycleError(
                     f"prototype contains a cycle through object id {oid} "

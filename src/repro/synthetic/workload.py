@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from typing import List, Sequence, Tuple
 
+from repro.core.checkpoint import restore_flags
 from repro.core.checkpointable import Checkpointable
 from repro.synthetic.structures import element_at, structure_objects, value_field_name
 
@@ -102,15 +103,10 @@ class FlagSnapshot:
         self._state = []
         for compound in structures:
             for obj in structure_objects(compound):
-                info = obj._ckpt_info
-                self._state.append((info, info.modified))
+                self._state.append((obj, obj._ckpt_dirty))
 
     def restore(self) -> None:
-        for info, modified in self._state:
-            if modified:
-                info.set_modified()
-            else:
-                info.reset_modified()
+        restore_flags(self._state)
 
     def modified_count(self) -> int:
         return sum(1 for _, modified in self._state if modified)

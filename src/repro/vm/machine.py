@@ -13,7 +13,11 @@ Accounting conventions (see :mod:`repro.vm.ops`):
 - In *generic* code, reads of ``_ckpt_info`` / ``modified`` / ``object_id``
   count as accessor calls (``acc``) — in the paper's Java they are
   ``getCheckpointInfo()`` / ``modified()`` / ``getId()`` method calls whose
-  price depends on how well the backend inlines accessors.
+  price depends on how well the backend inlines accessors. The machine
+  meters the paper's separate-object layout (one ``_ckpt_info`` hop, then
+  the flag or id) while evaluating each read against the object's header
+  slots (:data:`repro.spec.ir.INFO_SLOTS`), so the counts do not depend
+  on how the Python runtime lays the header out.
 - In *specialized* code the receiver class is static, so the same reads
   count as plain ``getfield`` — the specializer has proven the access.
 - Entering ``checkpoint``/``record``/``fold`` in generic code costs one
@@ -31,11 +35,12 @@ from repro.core.errors import (
     PatternViolationError,
     SpecializationError,
 )
+from repro.core.info import clear_modified
 from repro.core.streams import DataOutputStream, NullOutputStream, PackedEncoder
 from repro.spec import ir, templates
 from repro.vm.ops import OpCounts
 
-_ACCESSOR_FIELDS = ("_ckpt_info", "modified", "object_id")
+_ACCESSOR_FIELDS = (ir.INFO_FIELD, *ir.INFO_SLOTS)
 
 
 class _Driver:
@@ -138,7 +143,7 @@ class MeteredMachine:
                 if tier.fingerprint_unchanged(block):
                     for obj in tier.members(block):
                         counts.bump("flag_reset")
-                        obj._ckpt_info.reset_modified()
+                        clear_modified(obj)
                     tier.mark_committed(block)
                     continue
             for root in block.roots:
@@ -165,18 +170,17 @@ class MeteredMachine:
         counts = self.counts
         counts.bump("vcall")  # the ckpt.checkpoint(o) dispatch
         counts.bump("acc")  # getCheckpointInfo()
-        info = obj._ckpt_info
         counts.bump("acc")  # modified()
         counts.bump("test")
-        if info.modified:
+        if obj._ckpt_dirty:
             counts.bump("acc")  # getId()
             counts.bump("pack")  # header: one batched id+serial store
-            enc.put_header(info.object_id, obj._ckpt_serial)
+            enc.put_header(obj._ckpt_id, obj._ckpt_serial)
             counts.bump("vcall")  # record_packed dispatch
             self._account_record_packed(obj)
             obj.record_packed(enc)
             counts.bump("flag_reset")
-            info.modified = False
+            clear_modified(obj)
         counts.bump("vcall")  # fold dispatch
         for spec in obj._ckpt_schema:
             if spec.role == "child":
@@ -280,7 +284,11 @@ class MeteredMachine:
         elif isinstance(stmt, ir.SetAttr):
             counts.bump("flag_reset")
             base = self._eval(stmt.base, env, generic)
-            setattr(base, stmt.field, self._eval(stmt.expr, env, generic))
+            setattr(
+                base,
+                ir.INFO_SLOTS.get(stmt.field, stmt.field),
+                self._eval(stmt.expr, env, generic),
+            )
         elif isinstance(stmt, ir.ExprStmt):
             self._call(stmt.expr, env, generic)
         elif isinstance(stmt, ir.WriteScalarList):
@@ -297,7 +305,7 @@ class MeteredMachine:
             for member in members:
                 counts.bump("iter")
                 counts.bump("acc" if generic else "getfield")
-                self._write("int", member._ckpt_info.object_id, generic)
+                self._write("int", member._ckpt_id, generic)
         elif isinstance(stmt, ir.FoldChildren):
             counts.bump("getfield")
             members = self._eval(stmt.expr, env, generic)._items
@@ -341,7 +349,9 @@ class MeteredMachine:
                 counts.bump("acc")
             else:
                 counts.bump("getfield")
-            return getattr(base, expr.field)
+            if expr.field == ir.INFO_FIELD:
+                return base  # the header is the object's own slots
+            return getattr(base, ir.INFO_SLOTS.get(expr.field, expr.field))
         if isinstance(expr, ir.IndexGet):
             counts.bump("getfield")
             return self._eval(expr.base, env, generic)._items[expr.index]

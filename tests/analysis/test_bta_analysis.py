@@ -135,7 +135,7 @@ class TestConvergence:
             "int a[4];\nint x = 0;\nvoid f(int i) { x = a[i]; }"
         )
         for entry in attrs.entries:
-            entry.bt_entry.bt._ckpt_info.modified = False
+            entry.bt_entry.bt.get_checkpoint_info().modified = False
         assert bta._pass() is False
 
 

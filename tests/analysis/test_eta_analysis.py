@@ -123,7 +123,7 @@ class TestConvergence:
     def test_rerun_converged_changes_nothing(self):
         program, attrs, eta = _analyse("int n = 1;\nvoid f() { n = n + 2; }")
         for entry in attrs.entries:
-            entry.et_entry.et._ckpt_info.modified = False
+            entry.et_entry.et.get_checkpoint_info().modified = False
         assert eta._pass() is False
 
 

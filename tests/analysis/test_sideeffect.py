@@ -139,13 +139,13 @@ class TestFixpointBehaviour:
         # After convergence every flag should be settable to False and a
         # re-run must not dirty anything.
         for entry in attrs.entries:
-            entry._ckpt_info.modified = False
-            entry.se_entry._ckpt_info.modified = False
+            entry.get_checkpoint_info().modified = False
+            entry.se_entry.get_checkpoint_info().modified = False
         analysis._pass()
         dirty = [
             e.node_id
             for e in attrs.entries
-            if e.se_entry._ckpt_info.modified
+            if e.se_entry._ckpt_dirty
         ]
         assert dirty == []
 

@@ -99,7 +99,7 @@ class TestBackgroundWriter:
             delta.checkpoint(root)
             writer.append(INCREMENTAL, delta.getvalue())
             table = writer.recover()  # implicit flush
-            recovered = table[root._ckpt_info.object_id]
+            recovered = table[root._ckpt_id]
             assert structurally_equal(root, recovered, compare_ids=True)
 
     def test_file_backed_end_to_end(self, tmp_path):
@@ -110,7 +110,7 @@ class TestBackgroundWriter:
             writer.append(FULL, base.getvalue())
             writer.flush()
         fresh = FileStore(str(tmp_path / "ckpt"))
-        recovered = fresh.recover()[root._ckpt_info.object_id]
+        recovered = fresh.recover()[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
     def test_concurrent_producers(self):

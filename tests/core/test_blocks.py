@@ -17,7 +17,14 @@ from repro.core.blocks import (
     HASH_VERIFY,
     BlockTier,
 )
-from repro.core.checkpoint import Checkpoint, collect_objects, reset_flags
+from repro.core.checkpoint import (
+    Checkpoint,
+    collect_objects,
+    reset_flags,
+    restore_flags,
+    set_all_flags,
+    snapshot_flags,
+)
 from repro.core.errors import CheckpointError
 from repro.core.info import GENERATION_MASK, TOPOLOGY_CLOCK
 from repro.core.inspect import decode_stream
@@ -32,22 +39,6 @@ def _generic_bytes(roots):
     for root in roots:
         driver.checkpoint(root)
     return out.getvalue()
-
-
-def _snapshot_flags(roots):
-    state = []
-    for root in roots:
-        for obj in collect_objects(root):
-            state.append((obj._ckpt_info, obj._ckpt_info.modified))
-    return state
-
-
-def _restore_flags(snapshot):
-    for info, modified in snapshot:
-        if modified:
-            info.set_modified()
-        else:
-            info.reset_modified()
 
 
 def _strategy_bytes(strategy, roots):
@@ -83,7 +74,7 @@ class TestPartitioning:
         roots[3].extra = shared  # ...and aliased under roots[3]
         tier = BlockTier(block_size=2)
         tier.partition(roots)
-        assert shared._ckpt_info.block is tier.blocks[0]
+        assert shared._ckpt_block is tier.blocks[0]
 
     def test_default_block_size(self):
         assert BlockTier().block_size == DEFAULT_BLOCK_SIZE
@@ -152,7 +143,7 @@ def _shape_child_list_assign(roots):
 def _shape_shared_subtree_write(roots):
     # The aliased leaf lives in roots[0]'s block; the write must dirty
     # that block even though the alias was taken through roots[5].
-    roots[5].extra._ckpt_info  # (alias established by the fixture setup)
+    roots[5].extra  # (alias established by the fixture setup)
     roots[0].mid.leaf.value = 1234
 
 
@@ -199,9 +190,9 @@ class TestMutationShapesDirtyTheirBlock:
 
         MUTATION_SHAPES[shape](roots)
 
-        flags = _snapshot_flags(roots)
+        flags = snapshot_flags(roots)
         expected = _generic_bytes(roots)
-        _restore_flags(flags)
+        restore_flags(flags)
         assert _strategy_bytes(strategy, roots) == expected
 
     @pytest.mark.parametrize("shape", sorted(MUTATION_SHAPES))
@@ -265,7 +256,7 @@ class TestHashCollisionFallback:
         roots[1].name = "a-much-longer-name-than-before"
         data = _strategy_bytes(strategy, roots)
         recorded = {entry.object_id for entry in decode_stream(data)}
-        assert roots[1]._ckpt_info.object_id in recorded
+        assert roots[1]._ckpt_id in recorded
 
     def test_verify_mode_heals_size_change_despite_collision(self, monkeypatch):
         monkeypatch.setattr(
@@ -280,7 +271,7 @@ class TestHashCollisionFallback:
         leaf._f_label = leaf._f_label + "-grown"
         data = _strategy_bytes(strategy, roots)
         recorded = {entry.object_id for entry in decode_stream(data)}
-        assert leaf._ckpt_info.object_id in recorded
+        assert leaf._ckpt_id in recorded
         assert strategy.tier.hash_fallbacks == 1
 
     def test_verify_mode_heals_unflagged_value_change(self):
@@ -293,7 +284,7 @@ class TestHashCollisionFallback:
         leaf._f_value = 4242  # the bug: descriptor never fires
         data = _strategy_bytes(strategy, roots)
         recorded = {entry.object_id for entry in decode_stream(data)}
-        assert leaf._ckpt_info.object_id in recorded
+        assert leaf._ckpt_id in recorded
         assert strategy.last_stats["healed"] == 1
 
     def test_skip_mode_elides_writeback(self):
@@ -304,7 +295,7 @@ class TestHashCollisionFallback:
         leaf.value = leaf.value  # flag raised, content unchanged
         data = _strategy_bytes(strategy, roots)
         assert data == b""
-        assert not leaf._ckpt_info.modified  # flag consumed, not leaked
+        assert not leaf._ckpt_dirty  # flag consumed, not leaked
         assert strategy.last_stats["hash_skipped"] == 1
 
 
@@ -358,7 +349,7 @@ class TestOracleCrosscheck:
         session.close()
         under = oracle.under()
         assert under, "block tier suppressed the unflagged-mutation verdict"
-        assert any(v.object_id == root.mid.leaf._ckpt_info.object_id
+        assert any(v.object_id == root.mid.leaf._ckpt_id
                    for v in under)
 
     @pytest.mark.parametrize(
@@ -374,3 +365,93 @@ class TestOracleCrosscheck:
         session.commit()
         session.close()
         assert oracle.under() == []
+
+
+# -- the write barrier: every flag-setting site feeds the block tier ---------
+
+
+def _descriptor_scalar(root, saved):
+    root.extra.value = 5
+    return root.extra
+
+
+def _descriptor_scalar_list(root, saved):
+    root.mid.notes = [4, 5]
+    return root.mid
+
+
+def _descriptor_child(root, saved):
+    root.mid.leaf = root.mid.leaf
+    return root.mid
+
+
+def _descriptor_child_list(root, saved):
+    root.kids = list(root.kids)
+    return root
+
+
+def _list_mutator(name, *args):
+    def site(root, saved):
+        getattr(root.mid.notes, name)(*args)
+        return root.mid
+
+    site.__name__ = name
+    return site
+
+
+def _set_all_flags(root, saved):
+    set_all_flags(root)
+    return root.extra
+
+
+def _restore_flags(root, saved):
+    restore_flags(saved)
+    return root.extra
+
+
+def _info_set_modified(root, saved):
+    root.extra.get_checkpoint_info().set_modified()
+    return root.extra
+
+
+FLAG_SITES = [
+    _descriptor_scalar,
+    _descriptor_scalar_list,
+    _descriptor_child,
+    _descriptor_child_list,
+    _list_mutator("append", 4),
+    _list_mutator("extend", [4, 5]),
+    _list_mutator("insert", 0, 4),
+    _list_mutator("remove", 2),
+    _list_mutator("pop"),
+    _list_mutator("clear"),
+    _list_mutator("sort"),
+    _list_mutator("__setitem__", 0, 9),
+    _list_mutator("__delitem__", 0),
+    _list_mutator("replace", [7, 8]),
+    _set_all_flags,
+    _restore_flags,
+    _info_set_modified,
+]
+
+
+@pytest.mark.parametrize("site", FLAG_SITES, ids=lambda site: site.__name__)
+def test_every_flag_site_bumps_its_block(site):
+    roots = [build_root(), build_root()]
+    saved = snapshot_flags(roots)  # fresh objects: every flag set
+    tier = BlockTier(block_size=1)
+    tier.partition(roots)
+    for root in roots:
+        reset_flags(root)
+    for block in tier.blocks:
+        tier.mark_committed(block)
+
+    target = site(roots[0], saved)
+
+    block = target._ckpt_block
+    assert block is tier.blocks[0]
+    assert target._ckpt_dirty
+    assert block.dirty
+    assert block.generation != block.committed_generation
+    if site is not _restore_flags:  # the one site that flags both roots
+        assert tier.is_clean(tier.blocks[1])

@@ -36,13 +36,13 @@ class TestIncremental:
         driver = Checkpoint()
         driver.checkpoint(root)
         recorded = _entry_ids(driver.getvalue())
-        expected = [o._ckpt_info.object_id for o in collect_objects(root)]
+        expected = [o._ckpt_id for o in collect_objects(root)]
         assert sorted(recorded) == sorted(expected)
 
     def test_flags_cleared_after_checkpoint(self, root):
         driver = Checkpoint()
         driver.checkpoint(root)
-        assert all(not o._ckpt_info.modified for o in collect_objects(root))
+        assert all(not o._ckpt_dirty for o in collect_objects(root))
 
     def test_second_checkpoint_is_empty(self, root):
         Checkpoint().checkpoint(root)
@@ -55,13 +55,13 @@ class TestIncremental:
         driver = Checkpoint()
         driver.checkpoint(clean_root)
         recorded = _entry_ids(driver.getvalue())
-        assert recorded == [clean_root.mid.leaf._ckpt_info.object_id]
+        assert recorded == [clean_root.mid.leaf._ckpt_id]
 
     def test_traversal_order_is_preorder(self, root):
         driver = Checkpoint()
         driver.checkpoint(root)
         recorded = _entry_ids(driver.getvalue())
-        expected = [o._ckpt_info.object_id for o in collect_objects(root)]
+        expected = [o._ckpt_id for o in collect_objects(root)]
         assert recorded == expected
 
     def test_shared_subobject_recorded_once(self):
@@ -73,7 +73,7 @@ class TestIncremental:
         driver = Checkpoint()
         driver.checkpoint(holder)
         recorded = _entry_ids(driver.getvalue())
-        assert recorded.count(shared._ckpt_info.object_id) == 1
+        assert recorded.count(shared._ckpt_id) == 1
 
 
 class TestFull:
@@ -81,7 +81,7 @@ class TestFull:
         driver = FullCheckpoint()
         driver.checkpoint(clean_root)
         recorded = _entry_ids(driver.getvalue())
-        expected = [o._ckpt_info.object_id for o in collect_objects(clean_root)]
+        expected = [o._ckpt_id for o in collect_objects(clean_root)]
         assert recorded == expected
 
     def test_full_resets_flags_to_base_a_chain(self, root):
@@ -116,7 +116,7 @@ class TestReflective:
 
     def test_reflective_resets_flags(self, root):
         ReflectiveCheckpoint().checkpoint(root)
-        assert all(not o._ckpt_info.modified for o in collect_objects(root))
+        assert all(not o._ckpt_dirty for o in collect_objects(root))
 
 
 class TestCycleDetection:
@@ -145,9 +145,9 @@ class TestCycleDetection:
 class TestFlagHelpers:
     def test_reset_and_set_all(self, root):
         reset_flags(root)
-        assert all(not o._ckpt_info.modified for o in collect_objects(root))
+        assert all(not o._ckpt_dirty for o in collect_objects(root))
         set_all_flags(root)
-        assert all(o._ckpt_info.modified for o in collect_objects(root))
+        assert all(o._ckpt_dirty for o in collect_objects(root))
 
     def test_collect_objects_counts(self, root):
         # root + mid + leaf + extra + 2 kids
@@ -166,7 +166,7 @@ class TestIterativeDriver:
         from repro.core.checkpoint import IterativeCheckpoint
 
         snapshot = [
-            (o._ckpt_info, o._ckpt_info.modified) for o in collect_objects(root)
+            (o.get_checkpoint_info(), o._ckpt_dirty) for o in collect_objects(root)
         ]
         recursive = Checkpoint()
         recursive.checkpoint(root)
@@ -190,7 +190,7 @@ class TestIterativeDriver:
         driver = IterativeCheckpoint()
         driver.checkpoint(deep)
         assert driver.size > depth * 8
-        assert all(not o._ckpt_info.modified for o in collect_objects(deep))
+        assert all(not o._ckpt_dirty for o in collect_objects(deep))
 
     def test_deep_structure_restores(self):
         from repro.core.checkpoint import IterativeCheckpoint
@@ -202,5 +202,5 @@ class TestIterativeDriver:
         driver.checkpoint(deep)
         # Restoration and comparison are also stack-based: no recursion.
         table = restore_full(driver.getvalue())
-        recovered = table[deep._ckpt_info.object_id]
+        recovered = table[deep._ckpt_id]
         assert structurally_equal(deep, recovered, compare_ids=True)

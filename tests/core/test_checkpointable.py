@@ -1,5 +1,8 @@
 """Unit tests for Checkpointable: generated methods, registry, reflection tier."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.checkpoint import Checkpoint, FullCheckpoint, reset_flags
@@ -12,6 +15,7 @@ from repro.core.errors import SchemaError
 from repro.core.registry import DEFAULT_REGISTRY
 from repro.core.restore import state_digest
 from repro.core.streams import DataInputStream, DataOutputStream
+from repro.synthetic.structures import element_class
 from tests.conftest import Leaf, Mid, Root, build_root, make_class
 from repro.core.fields import child, child_list, scalar
 
@@ -47,7 +51,7 @@ class TestGeneratedMethods:
         out = DataOutputStream()
         mid.record(out)
         inp = DataInputStream(out.getvalue())
-        assert inp.read_int32() == leaf._ckpt_info.object_id
+        assert inp.read_int32() == leaf._ckpt_id
 
     def test_fold_visits_children_in_schema_order(self):
         root = build_root(kid_count=2)
@@ -104,7 +108,7 @@ class TestReflectiveTier:
                 self.seen = []
 
             def checkpoint(self, obj):
-                self.seen.append(obj._ckpt_info.object_id)
+                self.seen.append(obj._ckpt_id)
 
         generated, reflective = Collector(), Collector()
         root.fold(generated)
@@ -146,8 +150,8 @@ class TestRegistry:
 class TestBlankAndChildren:
     def test_blank_bypasses_init(self):
         blank = Leaf._blank(777)
-        assert blank._ckpt_info.object_id == 777
-        assert not blank._ckpt_info.modified
+        assert blank._ckpt_id == 777
+        assert not blank._ckpt_dirty
         assert blank.value == 0
 
     def test_children_reflects_structure(self, root):
@@ -157,7 +161,13 @@ class TestBlankAndChildren:
 
     def test_get_checkpoint_info(self):
         leaf = Leaf()
-        assert leaf.get_checkpoint_info() is leaf._ckpt_info
+        info = leaf.get_checkpoint_info()
+        assert info.object_id == leaf._ckpt_id
+        assert info.modified
+        info.reset_modified()
+        # a view: its writes land in the object's own header slots
+        assert not leaf._ckpt_dirty
+        assert info == leaf.get_checkpoint_info()
 
 
 class TestSlotLayout:
@@ -185,7 +195,7 @@ class TestSlotLayout:
         cached = CachedLeaf(value=3)
         reset_flags(cached)
         cached.cache = {"anything": [1, 2]}
-        assert not cached._ckpt_info.modified
+        assert not cached._ckpt_dirty
         assert cached.cache == {"anything": [1, 2]}
 
         def full_bytes(obj):
@@ -211,7 +221,7 @@ class TestSlotLayout:
 
         instance = InitDerived(5)
         assert (instance.a, instance.label, list(instance.kids)) == (5, "", [])
-        assert instance._ckpt_info.modified
+        assert instance._ckpt_dirty
 
 
 class TestInheritance:
@@ -250,5 +260,36 @@ class TestInheritance:
             from repro.core.restore import _skip_payload
 
             _skip_payload(inp, DEFAULT_REGISTRY.schema_of(cls))
-        assert root._ckpt_info.object_id in recorded_ids
-        assert fresh._ckpt_info.object_id in recorded_ids
+        assert root._ckpt_id in recorded_ids
+        assert fresh._ckpt_id in recorded_ids
+
+
+class TestFootprint:
+    """The paper's CheckpointInfo lives in the object: one allocation."""
+
+    def test_one_gc_tracked_object_per_checkpointable(self):
+        leaf = Leaf(value=1000, label="x")
+        tracked = [
+            ref
+            for ref in gc.get_referents(leaf)
+            if gc.is_tracked(ref) and not isinstance(ref, type)
+        ]
+        assert tracked == []  # no separate header object hangs off it
+
+    def test_per_object_bytes_stay_bounded(self):
+        cls = element_class(1)
+        count = 20_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            built = [cls() for _ in range(count)]
+            per_object = (tracemalloc.get_traced_memory()[0] - before) / count
+        finally:
+            tracemalloc.stop()
+        assert len(built) == count
+        # one slot-backed object (72 B: GC and object headers, three
+        # header slots, one value slot, one child slot), its id int
+        # (28 B) and the list slot (8 B) make 108 B; a separate header
+        # object would add another 56 B
+        assert per_object < 120, per_object

@@ -32,11 +32,11 @@ class TestCompaction:
         store = MemoryStore()
         root = _history(store)
         before = state_digest(
-            store.recover()[root._ckpt_info.object_id], include_ids=True
+            store.recover()[root._ckpt_id], include_ids=True
         )
         compact(store)
         after = state_digest(
-            store.recover()[root._ckpt_info.object_id], include_ids=True
+            store.recover()[root._ckpt_id], include_ids=True
         )
         assert before == after
 
@@ -52,7 +52,7 @@ class TestCompaction:
         store = MemoryStore()
         root = _history(store)  # appends a Leaf in round 2
         compact(store)
-        recovered = store.recover()[root._ckpt_info.object_id]
+        recovered = store.recover()[root._ckpt_id]
         assert recovered.kids[2].label == "late"
 
     def test_file_store_history_deleted(self, tmp_path):
@@ -68,7 +68,7 @@ class TestCompaction:
         root = _history(store)
         compact(store, keep_history=True)
         assert len(store._epoch_files()) == 6
-        recovered = store.recover()[root._ckpt_info.object_id]
+        recovered = store.recover()[root._ckpt_id]
         assert state_digest(recovered) == state_digest(root)
 
     def test_further_deltas_chain_off_new_base(self, tmp_path):
@@ -80,7 +80,7 @@ class TestCompaction:
         delta.checkpoint(root)
         store.append(INCREMENTAL, delta.getvalue())
         recovered = FileStore(store.directory).recover()[
-            root._ckpt_info.object_id
+            root._ckpt_id
         ]
         assert recovered.extra.label == "post-compaction"
 
@@ -93,12 +93,12 @@ class TestInspection:
         entries = decode_stream(driver.getvalue())
         assert len(entries) == 6
         head = entries[0]
-        assert head.object_id == root._ckpt_info.object_id
+        assert head.object_id == root._ckpt_id
         assert head.class_name == "Root"
         assert head.fields["name"] == "root"
-        assert head.fields["mid"] == f"@{root.mid._ckpt_info.object_id}"
+        assert head.fields["mid"] == f"@{root.mid._ckpt_id}"
         assert head.fields["kids"] == [
-            f"@{k._ckpt_info.object_id}" for k in root.kids
+            f"@{k._ckpt_id}" for k in root.kids
         ]
         assert sum(e.byte_size for e in entries) == driver.size
 

@@ -10,39 +10,39 @@ from tests.conftest import Leaf, Mid, Root, build_root, make_class
 class TestFlagDiscipline:
     def test_scalar_assignment_sets_flag(self):
         leaf = Leaf()
-        leaf._ckpt_info.modified = False
+        leaf.get_checkpoint_info().modified = False
         leaf.value = 5
-        assert leaf._ckpt_info.modified
+        assert leaf._ckpt_dirty
 
     def test_child_assignment_sets_parent_flag_only(self):
         mid = Mid()
         leaf = Leaf()
-        mid._ckpt_info.modified = False
-        leaf._ckpt_info.modified = False
+        mid.get_checkpoint_info().modified = False
+        leaf.get_checkpoint_info().modified = False
         mid.leaf = leaf
-        assert mid._ckpt_info.modified
-        assert not leaf._ckpt_info.modified  # the child itself is untouched
+        assert mid._ckpt_dirty
+        assert not leaf._ckpt_dirty  # the child itself is untouched
 
     def test_read_does_not_set_flag(self):
         leaf = Leaf(value=3)
-        leaf._ckpt_info.modified = False
+        leaf.get_checkpoint_info().modified = False
         _ = leaf.value
         _ = leaf.label
-        assert not leaf._ckpt_info.modified
+        assert not leaf._ckpt_dirty
 
     def test_same_value_rewrite_still_sets_flag(self):
         # The framework is conservative, like the paper's: any assignment
         # marks the object; analyses that want tighter flags compare first.
         leaf = Leaf(value=3)
-        leaf._ckpt_info.modified = False
+        leaf.get_checkpoint_info().modified = False
         leaf.value = 3
-        assert leaf._ckpt_info.modified
+        assert leaf._ckpt_dirty
 
 
 class TestTrackedList:
     def _fresh(self):
         mid = Mid()
-        mid._ckpt_info.modified = False
+        mid.get_checkpoint_info().modified = False
         return mid
 
     @pytest.mark.parametrize(
@@ -58,39 +58,39 @@ class TestTrackedList:
     def test_mutations_set_owner_flag(self, mutate):
         mid = self._fresh()
         mutate(mid.notes)
-        assert mid._ckpt_info.modified
+        assert mid._ckpt_dirty
 
     def test_item_mutations(self):
         mid = self._fresh()
         mid.notes.extend([1, 2, 3])
-        mid._ckpt_info.modified = False
+        mid.get_checkpoint_info().modified = False
         mid.notes[1] = 9
-        assert mid._ckpt_info.modified
-        mid._ckpt_info.modified = False
+        assert mid._ckpt_dirty
+        mid.get_checkpoint_info().modified = False
         del mid.notes[0]
-        assert mid._ckpt_info.modified
-        mid._ckpt_info.modified = False
+        assert mid._ckpt_dirty
+        mid.get_checkpoint_info().modified = False
         assert mid.notes.pop() == 3
-        assert mid._ckpt_info.modified
-        mid._ckpt_info.modified = False
+        assert mid._ckpt_dirty
+        mid.get_checkpoint_info().modified = False
         mid.notes.remove(9)
-        assert mid._ckpt_info.modified
-        mid._ckpt_info.modified = False
+        assert mid._ckpt_dirty
+        mid.get_checkpoint_info().modified = False
         mid.notes.append(4)
         mid.notes.append(2)
         mid.notes.sort()
-        assert mid._ckpt_info.modified
+        assert mid._ckpt_dirty
 
     def test_reads_do_not_set_flag(self):
         mid = self._fresh()
         mid.notes.extend([3, 1])
-        mid._ckpt_info.modified = False
+        mid.get_checkpoint_info().modified = False
         assert len(mid.notes) == 2
         assert mid.notes[0] == 3
         assert 1 in mid.notes
         assert list(mid.notes) == [3, 1]
         assert mid.notes.as_list() == [3, 1]
-        assert not mid._ckpt_info.modified
+        assert not mid._ckpt_dirty
 
     def test_equality(self):
         mid = self._fresh()

@@ -2,6 +2,8 @@
 
 import threading
 
+from repro.core.checkpointable import Checkpointable
+from repro.core.fields import scalar
 from repro.core.ids import DEFAULT_ALLOCATOR, IdAllocator
 from repro.core.info import CheckpointInfo
 
@@ -50,29 +52,41 @@ class TestIdAllocator:
         assert len(set(collected)) == 4000
 
 
+class InfoProbe(Checkpointable):
+    value = scalar("int")
+
+
 class TestCheckpointInfo:
+    """``CheckpointInfo`` is a view over the object's header slots."""
+
     def test_fresh_info_is_modified(self):
-        info = CheckpointInfo()
+        info = InfoProbe().get_checkpoint_info()
         assert info.modified  # a new object must appear in the next checkpoint
 
     def test_explicit_id(self):
-        info = CheckpointInfo(object_id=42, modified=False)
+        info = InfoProbe._blank(42).get_checkpoint_info()
         assert info.object_id == 42
         assert not info.modified
 
     def test_paper_interface(self):
-        info = CheckpointInfo()
+        probe = InfoProbe()
+        info = probe.get_checkpoint_info()
         info.reset_modified()
-        assert not info.modified
+        assert not info.modified and not probe._ckpt_dirty
         info.set_modified()
-        assert info.modified
+        assert info.modified and probe._ckpt_dirty
 
     def test_allocates_from_default_allocator(self):
         before = DEFAULT_ALLOCATOR.last_allocated
-        info = CheckpointInfo()
+        info = InfoProbe().get_checkpoint_info()
         assert info.object_id > before
 
-    def test_custom_allocator(self):
-        allocator = IdAllocator(start=7000)
-        info = CheckpointInfo(allocator=allocator)
-        assert info.object_id == 7000
+    def test_view_is_built_per_call_and_never_stored(self):
+        probe = InfoProbe()
+        first, second = probe.get_checkpoint_info(), probe.get_checkpoint_info()
+        assert first is not second and first == second
+        assert "_ckpt_info" not in Checkpointable.__slots__
+        assert not any(
+            isinstance(getattr(probe, slot), CheckpointInfo)
+            for slot in Checkpointable.__slots__
+        )

@@ -61,7 +61,7 @@ def dag(draw):
 
 
 def _snapshot_flags(root):
-    return [(o._ckpt_info, o._ckpt_info.modified) for o in collect_objects(root)]
+    return [(o.get_checkpoint_info(), o._ckpt_dirty) for o in collect_objects(root)]
 
 
 def _restore_flags(snapshot):
@@ -81,7 +81,7 @@ def test_iterative_matches_recursive_on_dags(root):
     iterative.checkpoint(root)
     assert iterative.getvalue() == recursive.getvalue()
     # Both cleared every reachable flag.
-    assert all(not o._ckpt_info.modified for o in collect_objects(root))
+    assert all(not o._ckpt_dirty for o in collect_objects(root))
 
 
 @given(dag(), st.data())
@@ -91,8 +91,8 @@ def test_iterative_matches_recursive_on_partial_modification(root, data):
     reset_flags(root)
     objects = collect_objects(root)
     for obj in objects:
-        if data.draw(st.booleans(), label=f"modify {obj._ckpt_info.object_id}"):
-            obj._ckpt_info.modified = True
+        if data.draw(st.booleans(), label=f"modify {obj._ckpt_id}"):
+            obj.get_checkpoint_info().modified = True
     flags = _snapshot_flags(root)
     recursive = Checkpoint()
     recursive.checkpoint(root)
@@ -112,7 +112,7 @@ def test_iterative_full_checkpoint_restores_sharing(root):
     # (FullCheckpoint is NOT the reference here: it records a shared node
     # once per visit, while the flag-gated drivers record it exactly once.)
     table = restore_full(iterative.getvalue())
-    recovered = table[root._ckpt_info.object_id]
+    recovered = table[root._ckpt_id]
     assert structurally_equal(root, recovered, compare_ids=True)
     # Shared children must restore as shared, not as copies.
     assert len(table) == len(collect_objects(root))
@@ -131,7 +131,7 @@ def test_deep_dag_beyond_recursion_limit():
     driver = IterativeCheckpoint()
     driver.checkpoint(root)
     table = restore_full(driver.getvalue())
-    recovered = table[root._ckpt_info.object_id]
+    recovered = table[root._ckpt_id]
     # The shared leaf is one object in the restored table too.
     assert recovered.right is recovered.left.right
     assert len(table) == len(collect_objects(root))

@@ -144,7 +144,7 @@ class TestFileStoreLineage:
             values.append(step * 11)
             store.append(INCREMENTAL, _snapshot(roots, full=False))
         table = store.materialize(1)
-        restored = table[roots[0]._ckpt_info.object_id]
+        restored = table[roots[0]._ckpt_id]
         assert element_at(restored, 0, 0).v0 == values[0]
 
 

@@ -60,7 +60,7 @@ class TestSerialTranslation:
 
         translation = reg.serial_translation(shifted_manifest)
         table = restore_full(foreign, serial_translation=translation)
-        recovered = table[root._ckpt_info.object_id]
+        recovered = table[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
 

@@ -33,7 +33,7 @@ class TestRestoreFull:
     def test_roundtrip_identity(self, root):
         base = _full_bytes(root)
         table = restore_full(base)
-        recovered = table[root._ckpt_info.object_id]
+        recovered = table[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
         assert state_digest(recovered) == state_digest(root)
         assert type(recovered) is Root
@@ -44,20 +44,20 @@ class TestRestoreFull:
 
     def test_restored_flags_are_clear(self, root):
         table = restore_full(_full_bytes(root))
-        assert all(not o._ckpt_info.modified for o in table.objects())
+        assert all(not o._ckpt_dirty for o in table.objects())
 
     def test_forward_child_references_resolve(self, root):
         # Parent entries precede their children in the stream; restoration
         # must resolve the forward ids (two-pass).
         table = restore_full(_full_bytes(root))
-        recovered = table[root._ckpt_info.object_id]
+        recovered = table[root._ckpt_id]
         assert recovered.mid.leaf.value == root.mid.leaf.value
         assert recovered.kids[1].label == root.kids[1].label
 
     def test_absent_child_stays_none(self):
         root = build_root(with_extra=False)
         table = restore_full(_full_bytes(root))
-        assert table[root._ckpt_info.object_id].extra is None
+        assert table[root._ckpt_id].extra is None
 
     def test_empty_stream_restores_empty_table(self):
         table = restore_full(b"")
@@ -70,13 +70,13 @@ class TestIncrementalReplay:
         root.mid.leaf.value = 123
         delta = _delta_bytes(root)
         table = replay(base, [delta])
-        assert table[root._ckpt_info.object_id].mid.leaf.value == 123
+        assert table[root._ckpt_id].mid.leaf.value == 123
 
     def test_pointer_update_replayed(self, root):
         base = _full_bytes(root)
         root.extra = root.kids[0]  # repoint child
         delta = _delta_bytes(root)
-        recovered = replay(base, [delta])[root._ckpt_info.object_id]
+        recovered = replay(base, [delta])[root._ckpt_id]
         assert recovered.extra is recovered.kids[0]
 
     def test_new_object_in_delta_materialized(self, root):
@@ -84,7 +84,7 @@ class TestIncrementalReplay:
         newcomer = Leaf(value=55, label="new")
         root.kids.append(newcomer)
         delta = _delta_bytes(root)
-        recovered = replay(base, [delta])[root._ckpt_info.object_id]
+        recovered = replay(base, [delta])[root._ckpt_id]
         assert recovered.kids[2].value == 55
         assert recovered.kids[2].label == "new"
 
@@ -95,7 +95,7 @@ class TestIncrementalReplay:
             root.mid.leaf.value = value
             root.mid.notes.append(value)
             deltas.append(_delta_bytes(root))
-        recovered = replay(base, deltas)[root._ckpt_info.object_id]
+        recovered = replay(base, deltas)[root._ckpt_id]
         assert recovered.mid.leaf.value == 30
         assert recovered.mid.notes.as_list() == [1, 2, 3, 10, 20, 30]
         assert structurally_equal(root, recovered, compare_ids=True)
@@ -106,7 +106,7 @@ class TestIncrementalReplay:
         first = _delta_bytes(root)
         root.mid.leaf.value = 2
         second = _delta_bytes(root)
-        recovered = replay(base, [first, second])[root._ckpt_info.object_id]
+        recovered = replay(base, [first, second])[root._ckpt_id]
         assert recovered.mid.leaf.value == 2
 
     def test_replay_equals_live_after_random_history(self, root):
@@ -123,7 +123,7 @@ class TestIncrementalReplay:
             if rng.random() < 0.4:
                 root.mid.notes.append(rng.randint(0, 9))
             deltas.append(_delta_bytes(root))
-        recovered = replay(base, deltas)[root._ckpt_info.object_id]
+        recovered = replay(base, deltas)[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
 
@@ -149,7 +149,7 @@ class TestErrors:
         base = _full_bytes(root)
         table = restore_full(base)
         out = DataOutputStream()
-        out.write_int32(root._ckpt_info.object_id)
+        out.write_int32(root._ckpt_id)
         out.write_int32(Leaf._ckpt_serial)  # but the table holds a Root
         Leaf().record(out)
         with pytest.raises(RestoreError, match="recorded as"):

@@ -92,7 +92,7 @@ class TestRandomStructureRoundtrips:
         driver = FullCheckpoint()
         driver.checkpoint(root)
         table = replay(driver.getvalue(), [])
-        recovered = table[root._ckpt_info.object_id]
+        recovered = table[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
     @settings(max_examples=60, deadline=None)
@@ -115,7 +115,7 @@ class TestRandomStructureRoundtrips:
             delta = Checkpoint()
             delta.checkpoint(root)
             deltas.append(delta.getvalue())
-        recovered = replay(base, deltas)[root._ckpt_info.object_id]
+        recovered = replay(base, deltas)[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
     @settings(max_examples=40, deadline=None)
@@ -124,7 +124,7 @@ class TestRandomStructureRoundtrips:
         FullCheckpoint().checkpoint(root)  # clears all flags
         digest_before = state_digest(root)
         objects = collect_objects(root)
-        before_ids = {o._ckpt_info.object_id for o in objects}
+        before_ids = {o._ckpt_id for o in objects}
         _mutate(objects, choice, payload)
         delta = Checkpoint()
         delta.checkpoint(root)
@@ -135,7 +135,7 @@ class TestRandomStructureRoundtrips:
         created = sum(
             1
             for o in collect_objects(root)
-            if o._ckpt_info.object_id not in before_ids
+            if o._ckpt_id not in before_ids
         )
         if delta.size == 0:
             assert state_digest(root) == digest_before

@@ -33,7 +33,7 @@ class TestMemoryStore:
     def test_append_and_recover(self):
         store = MemoryStore()
         root = _persist_history(store)
-        recovered = store.recover()[root._ckpt_info.object_id]
+        recovered = store.recover()[root._ckpt_id]
         assert recovered.mid.leaf.value == 77
         assert recovered.extra.label == "patched"
         assert structurally_equal(root, recovered, compare_ids=True)
@@ -70,7 +70,7 @@ class TestFileStore:
         store = FileStore(str(tmp_path / "ckpt"))
         root = _persist_history(store)
         fresh = FileStore(str(tmp_path / "ckpt"))
-        recovered = fresh.recover()[root._ckpt_info.object_id]
+        recovered = fresh.recover()[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
     def test_manifest_written(self, tmp_path):
@@ -93,7 +93,7 @@ class TestFileStore:
             fh.write(b"RCKP\x01\x00\x10")
         fresh = FileStore(store.directory)
         assert len(fresh.epochs()) == 3
-        recovered = fresh.recover()[root._ckpt_info.object_id]
+        recovered = fresh.recover()[root._ckpt_id]
         assert recovered.extra.label == "patched"
 
     def test_corrupt_payload_ends_sequence(self, tmp_path):
@@ -153,7 +153,7 @@ class TestCompressedFileStore:
         store = FileStore(str(tmp_path / "ckpt"), compress=True)
         root = _persist_history(store)
         fresh = FileStore(str(tmp_path / "ckpt"))  # reader needs no flag
-        recovered = fresh.recover()[root._ckpt_info.object_id]
+        recovered = fresh.recover()[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
     def test_compression_shrinks_redundant_epochs(self, tmp_path):
@@ -182,7 +182,7 @@ class TestCompressedFileStore:
         delta = Checkpoint()
         delta.checkpoint(root)
         packed.append(INCREMENTAL, delta.getvalue())  # compressed epoch 3
-        recovered = FileStore(directory).recover()[root._ckpt_info.object_id]
+        recovered = FileStore(directory).recover()[root._ckpt_id]
         assert recovered.mid.leaf.value == 4242
 
     def test_corrupt_compressed_payload_rejected(self, tmp_path):
@@ -260,7 +260,7 @@ class TestFileStoreEpochCache:
         _persist_history(store)
         root = _persist_history(store)  # a second full base at epoch 3
         reads = self._count_reads(monkeypatch)
-        recovered = store.recover()[root._ckpt_info.object_id]
+        recovered = store.recover()[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
         assert reads == [f"epoch-00000{i}.ckpt" for i in (3, 4, 5)]
         reads.clear()
@@ -305,7 +305,7 @@ class TestFileStoreEpochCache:
         # The failed read dropped the header: the durable prefix now
         # ends before epoch 2, exactly as a cold store would see it.
         assert store.lineage().indices() == [0, 1]
-        recovered = store.recover()[root._ckpt_info.object_id]
+        recovered = store.recover()[root._ckpt_id]
         assert recovered.mid.leaf.value == 77
         assert recovered.extra.label == "extra"
 
@@ -325,7 +325,7 @@ class TestFileStoreEpochCache:
         root = _persist_history(store)
         cold = FileStore(store.directory)
         assert store.epochs() == cold.epochs()
-        recovered = store.recover()[root._ckpt_info.object_id]
+        recovered = store.recover()[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
     def test_external_change_invalidates_entry(self, tmp_path):
@@ -360,7 +360,7 @@ class TestFileStoreEpochCache:
         epochs = store.epochs()
         assert [e.index for e in epochs] == [new_base]
         assert epochs[0].kind == FULL
-        recovered = store.recover()[root._ckpt_info.object_id]
+        recovered = store.recover()[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
 

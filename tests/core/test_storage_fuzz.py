@@ -69,7 +69,7 @@ class TestCorruptionFuzz:
             assert len(epochs) <= epoch if epoch > 0 else len(epochs) == 0
         if epochs and epochs[0].kind == FULL:
             table = fresh.recover()
-            recovered = table[root._ckpt_info.object_id]
+            recovered = table[root._ckpt_id]
             # The recovered state must exactly match one of the states the
             # application actually went through.
             assert state_digest(recovered, include_ids=True) in digests
@@ -89,7 +89,7 @@ class TestCorruptionFuzz:
         fresh = FileStore(directory)
         epochs = fresh.epochs()
         assert [e.index for e in epochs] == [0, 1, 2] or len(epochs) == 4
-        recovered = fresh.recover()[root._ckpt_info.object_id]
+        recovered = fresh.recover()[root._ckpt_id]
         assert state_digest(recovered, include_ids=True) in digests
 
     def test_all_epochs_destroyed(self, tmp_path):

@@ -104,7 +104,7 @@ class TestSyntheticRecoveryChain:
 
         table = replay(base, deltas)
         for compound in population:
-            recovered = table[compound._ckpt_info.object_id]
+            recovered = table[compound._ckpt_id]
             assert structurally_equal(compound, recovered, compare_ids=True)
 
     def test_mixed_driver_chain(self):
@@ -133,8 +133,8 @@ class TestSyntheticRecoveryChain:
         deltas.append(out.getvalue())
 
         table = replay(base_driver.getvalue(), deltas)
-        assert table[population[0]._ckpt_info.object_id].list0.v0 == 1
-        assert table[population[5]._ckpt_info.object_id].list1.next.v0 == 2
+        assert table[population[0]._ckpt_id].list0.v0 == 1
+        assert table[population[5]._ckpt_id].list1.next.v0 == 2
 
 
 class TestWholeStackConsistency:
@@ -143,7 +143,7 @@ class TestWholeStackConsistency:
         engine.run()
         for attrs in engine.attributes.entries:
             for obj in collect_objects(attrs):
-                assert not obj._ckpt_info.modified
+                assert not obj._ckpt_dirty
 
     def test_engine_reports_sum_to_store_content(self, source):
         store = MemoryStore()

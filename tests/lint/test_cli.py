@@ -64,6 +64,18 @@ class TestInProcess:
         assert "slot-write" in out
         assert "flag-write" in out
 
+    def test_header_slot_stores_are_flagged(self, tmp_path, capsys):
+        bad = tmp_path / "header.py"
+        bad.write_text(
+            "def mutate(obj, other):\n"
+            "    obj._ckpt_dirty = True\n"
+            "    obj._ckpt_id = other._ckpt_id\n"
+            "    obj._ckpt_block = None\n"
+        )
+        code, out = run_cli([str(bad)], capsys)
+        assert code == 0  # warnings alone do not fail
+        assert out.count("header-write") == 3
+
     def test_strict_promotes_warnings(self, tmp_path, capsys):
         bad = tmp_path / "bypasses.py"
         bad.write_text("def mutate(obj):\n    obj._f_value = 1\n")

@@ -57,6 +57,10 @@ def phase_unannotated(structure, rounds):
     structure.extra.value = rounds
 
 
+def phase_header_slot_store(root: Root):
+    root.mid.leaf._ckpt_dirty = True
+
+
 def phase_conditional(root: Root):
     if root.mid.leaf.flag:
         root.extra.value = 1
@@ -65,6 +69,11 @@ def phase_conditional(root: Root):
 
 
 class TestAnalysis:
+    def test_header_slot_store_is_an_effect(self, shape):
+        report = analyze_effects(shape, [phase_header_slot_store])
+        assert report.may_write == {("mid", "leaf")}
+        assert any("header slot '_ckpt_dirty'" in c.reason for c in report.cautions)
+
     def test_direct_write(self, shape):
         report = analyze_effects(shape, [phase_direct])
         assert report.may_write == {("mid", "leaf")}

@@ -160,6 +160,14 @@ class TestRejectsBrokenResiduals:
         ):
             verify_residual(broken, shape, pattern, guards=False)
 
+    def test_header_slot_store_is_rejected(self, shape):
+        pattern = _patterns(shape)["leaf_only"]
+        residual = _residual(shape, pattern)
+        bypass = ir.SetAttr(ir.Var("root"), "_ckpt_dirty", ir.Const(False))
+        broken = ir.Seq(list(residual.stmts) + [bypass])
+        with pytest.raises(ResidualVerificationError, match="header slot"):
+            verify_residual(broken, shape, pattern, guards=False)
+
     def test_stray_flag_reset_outside_record_block(self, shape):
         pattern = _patterns(shape)["leaf_only"]
         residual = _residual(shape, pattern)

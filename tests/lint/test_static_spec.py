@@ -37,7 +37,7 @@ def _run(fn, root):
 
 def _snapshot_flags(root):
     return [
-        (o._ckpt_info, o._ckpt_info.modified) for o in collect_objects(root)
+        (o.get_checkpoint_info(), o._ckpt_dirty) for o in collect_objects(root)
     ]
 
 

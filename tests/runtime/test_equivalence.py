@@ -50,7 +50,7 @@ TIER_DRIVERS = {
 
 def _snapshot_flags(roots):
     return [
-        (o._ckpt_info, o._ckpt_info.modified)
+        (o.get_checkpoint_info(), o._ckpt_dirty)
         for root in roots
         for o in collect_objects(root)
     ]
@@ -122,8 +122,8 @@ class TestTierEquivalence:
             # sizes byte-for-byte and the replayed state structurally
             assert len(driver_epoch.data) == len(session_epoch.data)
         assert structurally_equal(
-            store.recover()[driver_root._ckpt_info.object_id],
-            session.recover()[session_root._ckpt_info.object_id],
+            store.recover()[driver_root._ckpt_id],
+            session.recover()[session_root._ckpt_id],
         )
 
 
@@ -165,7 +165,7 @@ class TestDifferentialSteadyState:
         session.commit()
         table = FileStore(directory).recover()
         assert state_digest(
-            table[root._ckpt_info.object_id], include_ids=True
+            table[root._ckpt_id], include_ids=True
         ) == state_digest(root, include_ids=True)
 
 
@@ -269,7 +269,7 @@ class TestSequencesWithCompaction:
         # acceptance: a *plain* FileStore over the session's directory (a
         # fresh process) replays to the live state
         table = FileStore(directory).recover()
-        assert state_digest(table[root._ckpt_info.object_id], include_ids=True) == live
+        assert state_digest(table[root._ckpt_id], include_ids=True) == live
         # the line is now: compacted base + one delta
         epochs = FileStore(directory).epochs()
         assert [e.kind for e in epochs] == [FULL, INCREMENTAL]
@@ -284,11 +284,11 @@ class TestSequencesWithCompaction:
             _mutate(root, round_index)
             session.commit()
         before = state_digest(
-            session.recover()[root._ckpt_info.object_id], include_ids=True
+            session.recover()[root._ckpt_id], include_ids=True
         )
         session.compact()
         after = state_digest(
-            session.recover()[root._ckpt_info.object_id], include_ids=True
+            session.recover()[root._ckpt_id], include_ids=True
         )
         assert before == after
 
@@ -307,5 +307,5 @@ class TestSequencesWithCompaction:
         line = store.recovery_line()
         assert line[0].kind == FULL and line[0].index == 6
         assert structurally_equal(
-            root, store.recover()[root._ckpt_info.object_id], compare_ids=True
+            root, store.recover()[root._ckpt_id], compare_ids=True
         )

@@ -18,7 +18,7 @@ from tests.conftest import Root, build_root
 def _generic_bytes(roots):
     # snapshot/restore flags: the generic driver clears them as it records
     snapshot = [
-        (o._ckpt_info, o._ckpt_info.modified)
+        (o.get_checkpoint_info(), o._ckpt_dirty)
         for root in roots
         for o in collect_objects(root)
     ]

@@ -63,7 +63,7 @@ class TestSelfCheckProbe:
         selfcheck.probe_phase(root)
 
         out = DataOutputStream()
-        info = root.counter._ckpt_info
+        info = root.counter.get_checkpoint_info()
         was = info.modified
         Checkpoint(out).checkpoint(root)
         info.modified = was  # restore the flag the generic driver cleared

@@ -66,7 +66,7 @@ class TestMeasurePreservesFlags:
         # the broken strategy recorded (and cleared) part of the structure
         # before raising; measure must have undone that
         assert any(
-            obj._ckpt_info.modified
+            obj._ckpt_dirty
             for obj in [root, root.mid, root.mid.leaf]
         )
 

@@ -172,7 +172,7 @@ class TestStrategyFallback:
         session.commit()  # degraded delta
         session.commit()  # escalated full
         table = session.recover()
-        recovered = table[root._ckpt_info.object_id]
+        recovered = table[root._ckpt_id]
         assert recovered.mid.leaf.value == 4321
 
     def test_generic_strategy_failure_is_not_absorbed(self):
@@ -190,6 +190,7 @@ class TestStrategyFallback:
             strategy=DriverStrategy("broken", broken_driver),
             sink=MemoryStore(),
         )
+        session.base()  # a policy-decided commit on a base-less chain is full
         with pytest.raises(RuntimeError, match="driver bug"):
             session.commit()
         assert session.degradations == 0
@@ -203,7 +204,7 @@ class TestStrategyFallback:
         root.mid.leaf.value = 99
         session.commit()  # degraded delta only
         table = session.recover()
-        assert table[root._ckpt_info.object_id].mid.leaf.value == 99
+        assert table[root._ckpt_id].mid.leaf.value == 99
 
 
 class _DeadReplica(MemoryStore):

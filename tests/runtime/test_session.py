@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.checkpoint import reset_flags
 from repro.core.errors import CheckpointError, StorageError
-from repro.core.restore import structurally_equal
+from repro.core.restore import state_digest, structurally_equal
 from repro.core.storage import FULL, INCREMENTAL, FileStore, MemoryStore
 from repro.runtime import (
     CheckpointSession,
@@ -56,7 +56,7 @@ class TestCommitLifecycle:
         delta = session.commit()
         assert delta.kind == INCREMENTAL
         assert 0 < delta.size < base.size
-        recovered = session.recover()[root._ckpt_info.object_id]
+        recovered = session.recover()[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
     def test_counters(self):
@@ -140,7 +140,7 @@ class TestPolicyDriven:
         # the store now holds exactly the compacted base
         epochs = session.store.epochs()
         assert len(epochs) == 1 and epochs[0].kind == FULL
-        recovered = session.recover()[root._ckpt_info.object_id]
+        recovered = session.recover()[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
     def test_no_auto_compaction_without_capable_sink(self):
@@ -159,6 +159,7 @@ class TestPhaseBinding:
     def test_bound_phase_overrides_default(self):
         root = build_root()
         session = CheckpointSession(roots=root, sink=MemoryStore())
+        session.base()  # a policy-decided commit on a base-less chain is full
         session.bind("quiet", NullStrategy())
         assert session.bound("quiet") and not session.bound("other")
         root.mid.leaf.value = 1
@@ -211,7 +212,7 @@ class TestPhaseBinding:
         result = session.commit(phase="hot")
         assert result.phase == "hot"
         assert result.strategy.startswith("specialized:")
-        recovered = session.recover()[root._ckpt_info.object_id]
+        recovered = session.recover()[root._ckpt_id]
         assert recovered.mid.leaf.value == 77
 
 
@@ -272,7 +273,7 @@ class TestClose:
             root.mid.leaf.value = 55
             session.commit()
         # a "fresh process": a plain FileStore over the same directory
-        recovered = FileStore(directory).recover()[root._ckpt_info.object_id]
+        recovered = FileStore(directory).recover()[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
     def test_explicit_flag_reset_keeps_sessions_independent(self):
@@ -287,3 +288,36 @@ class TestClose:
         root.mid.leaf.value = 5
         assert second.commit().size > 0
         assert second.commit().size == 0  # the first commit cleared the flag
+
+
+class TestRecoverableByDefault:
+    """Under the default policy a store is recoverable without base()."""
+
+    def test_plain_commits_without_base_recover(self, tmp_path):
+        root = build_root()
+        session = CheckpointSession(
+            roots=root, strategy="differential", sink=str(tmp_path)
+        )
+        root.mid.leaf.value = 1
+        first = session.commit()
+        root.mid.leaf.value = 2
+        second = session.commit()
+        session.close()
+        assert (first.kind, second.kind) == (FULL, INCREMENTAL)
+        recovered = FileStore(str(tmp_path)).recover()[root._ckpt_id]
+        assert state_digest(recovered, include_ids=True) == state_digest(
+            root, include_ids=True
+        )
+
+    def test_reopened_store_keeps_its_base(self, tmp_path):
+        root = build_root()
+        session = CheckpointSession(roots=root, sink=str(tmp_path))
+        session.base()
+        session.close()
+        root.mid.leaf.value = 3
+        reopened = CheckpointSession(roots=root, sink=str(tmp_path))
+        # the tip already chains to a full epoch: no extra base
+        assert reopened.commit().kind == INCREMENTAL
+        reopened.close()
+        recovered = FileStore(str(tmp_path)).recover()[root._ckpt_id]
+        assert state_digest(recovered) == state_digest(root)

@@ -90,7 +90,7 @@ class TestMemoryStore:
         root = build_root()
         session = CheckpointSession(sink=MemoryStore())
         _commit_line(session, root)
-        recovered = session.recover()[root._ckpt_info.object_id]
+        recovered = session.recover()[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
 
@@ -99,7 +99,7 @@ class TestStoreSession:
         root = build_root()
         session = CheckpointSession(sink=str(tmp_path / "ckpt"))
         assert _commit_line(session, root) == (0, 1)
-        recovered = session.recover()[root._ckpt_info.object_id]
+        recovered = session.recover()[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
         assert [e.kind for e in session.store.epochs()] == [FULL, INCREMENTAL]
 
@@ -109,7 +109,7 @@ class TestStoreSession:
         _commit_line(session, root)
         new_base = session.compact()
         assert [e.index for e in session.store.epochs()] == [new_base]
-        recovered = session.recover()[root._ckpt_info.object_id]
+        recovered = session.recover()[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
 
     def test_background_writer_flushed_before_recovery(self, tmp_path):
@@ -117,7 +117,7 @@ class TestStoreSession:
         writer = BackgroundWriter(FileStore(str(tmp_path / "ckpt")))
         session = CheckpointSession(sink=writer)
         _commit_line(session, root)
-        recovered = session.recover()[root._ckpt_info.object_id]
+        recovered = session.recover()[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)
         session.close()
 

@@ -38,7 +38,7 @@ def _generic_bytes(roots):
 
 
 def _snapshot_flags(root):
-    return [(o._ckpt_info, o._ckpt_info.modified) for o in collect_objects(root)]
+    return [(o.get_checkpoint_info(), o._ckpt_dirty) for o in collect_objects(root)]
 
 
 def _restore_flags(snapshot):

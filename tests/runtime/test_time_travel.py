@@ -101,7 +101,7 @@ class TestRestoreThenCommit:
         assert (
             state_digest(
                 session.store.materialize(result.epoch_index)[
-                    session.roots()[0]._ckpt_info.object_id
+                    session.roots()[0]._ckpt_id
                 ]
             )
             == digests[2]
@@ -266,12 +266,12 @@ class TestFork:
 
         alt_digest = state_digest(
             session.store.materialize(alt.epoch_index)[
-                alt_root._ckpt_info.object_id
+                alt_root._ckpt_id
             ]
         )
         main_digest = state_digest(
             session.store.materialize(main.epoch_index)[
-                main_root._ckpt_info.object_id
+                main_root._ckpt_id
             ]
         )
         assert alt_digest != main_digest
@@ -289,7 +289,7 @@ class TestFork:
         assert result.branch == "wip"
         assert session.lineage().epoch(result.epoch_index).parent == 2
         restored = session.store.materialize(result.epoch_index)[
-            root._ckpt_info.object_id
+            root._ckpt_id
         ]
         assert restored.mid.leaf.value == 31337
 
@@ -396,7 +396,7 @@ class TestCompactAfterEscalation:
         assert line[0].kind == FULL
         assert line[0].index == new_base
         table = store.materialize(store.lineage().branches()["main"])
-        assert state_digest(table[root._ckpt_info.object_id]) == expected
+        assert state_digest(table[root._ckpt_id]) == expected
 
     def test_restore_into_escalated_history_is_byte_identical(
         self, tmp_path

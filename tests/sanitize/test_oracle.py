@@ -225,7 +225,7 @@ class TestRestoreResync:
         root.mid.leaf.value = 777
         session.commit()
         table = session.restore(0)
-        restored = table[root._ckpt_info.object_id]
+        restored = table[root._ckpt_id]
         assert restored.mid.leaf.value != 777
         # the shadow follows the restored epoch: an honest write on the
         # restored graph commits clean

@@ -40,7 +40,7 @@ class TestPatternObserver:
         assert added == 2
         assert observer.seen_dirty() == {("mid", "leaf"), ("extra",)}
         # Observation must not consume the flags.
-        assert root.mid.leaf._ckpt_info.modified
+        assert root.mid.leaf._ckpt_dirty
 
     def test_accumulates_across_runs(self, scenario):
         root, shape = scenario
@@ -79,7 +79,7 @@ class TestAutoSpecializer:
         observer.observe(root)
         auto = AutoSpecializer(shape, observer, name="auto_eq")
         fn = auto.compiled()
-        snapshot = [(o._ckpt_info, o._ckpt_info.modified) for o in collect_objects(root)]
+        snapshot = [(o.get_checkpoint_info(), o._ckpt_dirty) for o in collect_objects(root)]
         expected = _generic(root)
         for info, modified in snapshot:
             info.modified = modified
@@ -105,7 +105,7 @@ class TestAutoSpecializer:
 
         refined = auto.refine(root)
         assert auto.recompilations == 2
-        snapshot = [(o._ckpt_info, o._ckpt_info.modified) for o in collect_objects(root)]
+        snapshot = [(o.get_checkpoint_info(), o._ckpt_dirty) for o in collect_objects(root)]
         expected = _generic(root)
         for info, modified in snapshot:
             info.modified = modified
@@ -177,7 +177,7 @@ class TestPatternCacheFreshness:
         refined = auto.refine(root)
 
         snapshot = [
-            (o._ckpt_info, o._ckpt_info.modified) for o in collect_objects(root)
+            (o.get_checkpoint_info(), o._ckpt_dirty) for o in collect_objects(root)
         ]
         expected = _generic(root)
         for info, modified in snapshot:

@@ -122,6 +122,12 @@ class TestBindingTimes:
         )
         assert fold_children.bt == "unroll"
 
+    def test_header_slot_store_rejected(self, shape):
+        pattern = ModificationPattern.all_dynamic(shape)
+        body = ir.Seq([ir.SetAttr(ir.Var("o"), "_ckpt_block", ir.Const(None))])
+        with pytest.raises(SpecializationError, match="header slot"):
+            bta.annotate(body, bta.BTContext({"o": bta.ps(shape.root)}, pattern))
+
     def test_unbound_variable_rejected(self, shape):
         pattern = ModificationPattern.all_dynamic(shape)
         with pytest.raises(SpecializationError, match="unbound"):

@@ -32,7 +32,7 @@ def specialized_bytes(fn, root):
 
 
 def snapshot_flags(root):
-    return [(o._ckpt_info, o._ckpt_info.modified) for o in collect_objects(root)]
+    return [(o.get_checkpoint_info(), o._ckpt_dirty) for o in collect_objects(root)]
 
 
 def restore_flags(snapshot):
@@ -74,7 +74,7 @@ class TestStructureSpecialization:
         reset_flags(root)
         root.extra.value = 1
         specialized_bytes(fn, root)
-        assert all(not o._ckpt_info.modified for o in collect_objects(root))
+        assert all(not o._ckpt_dirty for o in collect_objects(root))
 
     def test_no_virtual_calls_in_source(self, compiled):
         root, shape, compiler = compiled
@@ -84,6 +84,9 @@ class TestStructureSpecialization:
         assert ".fold(" not in source
         assert ".checkpoint(" not in source
         assert "get_checkpoint_info" not in source
+        # header reads are lowered to the object's own slots
+        assert "_ckpt_info" not in source
+        assert ".modified" not in source and ".object_id" not in source
 
     def test_nothing_modified_writes_nothing(self, compiled):
         root, shape, compiler = compiled
@@ -107,8 +110,9 @@ class TestPatternSpecialization:
         shape = Shape.of(compound)
         pattern = ModificationPattern.last_element_of_lists(shape, ["list0"])
         fn = SpecializedCheckpointer(SpecClass(shape, pattern, name="tail_only"))
-        # Exactly one modified-test survives (the tail element's).
-        assert fn.source.count(".modified:") == 1
+        # Exactly one modified-test survives (the tail element's), read
+        # straight from the object's header slot.
+        assert fn.source.count("._ckpt_dirty:") == 1
         # The spine is still chased (3 'next' hops... 2 hops + head access).
         assert fn.source.count("_f_next") == 2
 

@@ -50,7 +50,7 @@ def _compiled(num_lists, list_length, ints, pattern_paths):
 def _apply_state(root, objects, dirty_indices):
     reset_flags(root)
     for index in dirty_indices:
-        objects[index]._ckpt_info.modified = True
+        objects[index].get_checkpoint_info().modified = True
 
 
 def _generic(root):
@@ -66,7 +66,7 @@ def _specialized(fn, root):
 
 
 def _flag_vector(objects):
-    return [o._ckpt_info.modified for o in objects]
+    return [o._ckpt_dirty for o in objects]
 
 
 @st.composite
@@ -133,7 +133,7 @@ class TestPatternEquivalence:
         def dirty_state():
             reset_flags(root)
             for path in dirty:
-                _object_at_path(root, path)._ckpt_info.modified = True
+                _object_at_path(root, path).get_checkpoint_info().modified = True
 
         dirty_state()
         assert shape  # the pattern conforms by construction
@@ -185,5 +185,5 @@ class TestMixedFamilyEquivalence:
             out = DataOutputStream()
             fn(root, out)
             deltas.append(out.getvalue())
-        recovered = replay(base, deltas)[root._ckpt_info.object_id]
+        recovered = replay(base, deltas)[root._ckpt_id]
         assert structurally_equal(root, recovered, compare_ids=True)

@@ -64,7 +64,7 @@ class TestStructureBuilders:
     def test_build_structures_population(self):
         population = build_structures(7, 2, 2, 1)
         assert len(population) == 7
-        ids = {c._ckpt_info.object_id for c in population}
+        ids = {c._ckpt_id for c in population}
         assert len(ids) == 7
 
 
@@ -121,7 +121,7 @@ class TestApplication:
             1
             for compound in population
             for obj in structure_objects(compound)
-            if obj._ckpt_info.modified
+            if obj._ckpt_dirty
         )
         assert dirty == count == sum(len(c) for c in chosen)
 
@@ -137,5 +137,5 @@ class TestApplication:
         for compound in population:
             reset_flags(compound)
         snapshot.restore()
-        assert population[0].list0._ckpt_info.modified
-        assert not population[1].list0._ckpt_info.modified
+        assert population[0].list0._ckpt_dirty
+        assert not population[1].list0._ckpt_dirty

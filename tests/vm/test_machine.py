@@ -25,7 +25,7 @@ from tests.conftest import build_root
 
 
 def _snapshot(root):
-    return [(o._ckpt_info, o._ckpt_info.modified) for o in collect_objects(root)]
+    return [(o.get_checkpoint_info(), o._ckpt_dirty) for o in collect_objects(root)]
 
 
 def _restore(snapshot):
@@ -75,7 +75,7 @@ class TestByteIdentity:
     def test_machine_resets_flags_like_driver(self, dirty_root):
         machine = MeteredMachine()
         machine.run_incremental(dirty_root)
-        assert all(not o._ckpt_info.modified for o in collect_objects(dirty_root))
+        assert all(not o._ckpt_dirty for o in collect_objects(dirty_root))
 
 
 class TestAccounting:
@@ -209,7 +209,7 @@ class TestPackedAndDifferential:
     def test_packed_resets_flags_like_driver(self, dirty_root):
         machine = MeteredMachine()
         machine.run_packed(dirty_root)
-        assert all(not o._ckpt_info.modified for o in collect_objects(dirty_root))
+        assert all(not o._ckpt_dirty for o in collect_objects(dirty_root))
 
     def _committed_tier(self, roots, **tier_kwargs):
         from repro.core.blocks import BlockTier
@@ -301,7 +301,7 @@ class TestPackedAndDifferential:
         assert machine.counts["hash"] > 0
         assert machine.counts["flag_reset"] > 0  # flags still cleared
         assert all(
-            not o._ckpt_info.modified
+            not o._ckpt_dirty
             for root in roots
             for o in collect_objects(root)
         )

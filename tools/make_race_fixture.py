@@ -13,7 +13,7 @@ race pattern from the static rule family
   methods;
 - ``lock-held-across-blocking-call`` — ``time.sleep`` inside a critical
   section;
-- ``flag-mutation-outside-commit`` — a direct ``_ckpt_info.modified``
+- ``flag-mutation-outside-commit`` — a direct ``_ckpt_dirty``
   poke from a thread-reachable method.
 
 The first three are *runnable*: each module exposes ``run()`` driving
@@ -216,9 +216,9 @@ class {cls}:
     def poke(self):
         # the write barrier owns this flag; poking it from a thread
         # races the commit path's record-and-clear
-        self.target._ckpt_info.modified = True
+        self.target._ckpt_dirty = True
 '''
-    return source, cls, "modified"
+    return source, cls, "_ckpt_dirty"
 
 
 GENERATORS = {
