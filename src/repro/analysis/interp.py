@@ -47,6 +47,8 @@ class Interpreter:
     ) -> None:
         self.program = program
         self.symbols = symbols or resolve(program)
+        #: the step budget this interpreter started with (``fuel`` counts down)
+        self.budget = fuel
         self.fuel = fuel
         #: symbol id -> value (arrays are Python lists)
         self.globals: Dict[int, Any] = {}
@@ -123,7 +125,11 @@ class Interpreter:
     def _burn(self) -> None:
         self.fuel -= 1
         if self.fuel <= 0:
-            raise InterpreterError("fuel exhausted (infinite loop?)")
+            raise InterpreterError(
+                f"fuel exhausted after {self.budget:,} steps (infinite loop, or "
+                "a program that needs more: raise the budget with fuel= or "
+                "--fuel)"
+            )
 
     def _exec(self, stmt: ast.Stmt, frame: Dict[int, Any]) -> None:
         self._burn()

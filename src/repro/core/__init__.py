@@ -3,8 +3,8 @@
 This subpackage implements the systematic, language-level checkpointing
 discipline of the paper: every checkpointable class carries a
 :class:`~repro.core.info.CheckpointInfo` (a unique identifier plus a
-modification flag), per-class ``record``/``fold``/``restore_local`` methods
-generated from declared fields, and a generic
+modification flag), per-class ``record``/``fold`` and
+``restore_packed``/``skip_packed`` methods generated from declared fields, and a generic
 :class:`~repro.core.checkpoint.Checkpoint` driver that traverses compound
 objects, records the local state of modified ones, and recursively visits
 children.

@@ -11,8 +11,9 @@ all a user does; at class-definition time the framework
 2. flattens the field schema (inherited fields first, mirroring the
    ``super().record()`` call order of the paper's generated Java methods),
 3. registers the class with the :mod:`~repro.core.registry`, and
-4. generates and compiles ``record``, ``fold``, ``restore_local`` and
-   ``_init_defaults`` methods specialized to the class schema.
+4. generates and compiles ``record``, ``record_packed``, ``fold``,
+   ``restore_packed``, ``skip_packed`` and ``_init_defaults`` methods
+   specialized to the class schema.
 
 The generated methods are exactly what the paper's preprocessor would
 produce: straight-line code over the declared fields, invoked virtually by
@@ -34,6 +35,7 @@ with the payload encoding each field in schema order:
 
 from __future__ import annotations
 
+import itertools
 import struct
 from typing import Any, ClassVar, Dict, List, Optional
 
@@ -42,19 +44,19 @@ from repro.core.fields import FieldSpec, TrackedList, _FieldDescriptor
 from repro.core.ids import DEFAULT_ALLOCATOR
 from repro.core.info import HEADER_SLOTS, CheckpointInfo
 from repro.core.registry import DEFAULT_REGISTRY, ClassRegistry
-from repro.core.streams import DataOutputStream
+from repro.core.streams import (
+    DataOutputStream,
+    invalid_bool,
+    negative_length,
+    run_error,
+    truncated,
+)
 
 _WRITERS = {
     "int": "out.write_int32",
     "float": "out.write_float64",
     "bool": "out.write_bool",
     "str": "out.write_str",
-}
-_READERS = {
-    "int": "inp.read_int32",
-    "float": "inp.read_float64",
-    "bool": "inp.read_bool",
-    "str": "inp.read_str",
 }
 _DEFAULT_LITERALS = {"int": "0", "float": "0.0", "bool": "False", "str": "''"}
 
@@ -208,31 +210,190 @@ _RECORD_PACKED_FALLBACK = (
 )
 
 
-def _generate_restore_local(schema: List[FieldSpec]) -> str:
-    lines = ["def restore_local(self, inp, table):"]
+def _payload_runs(schema: List[FieldSpec]):
+    """Split a payload into fixed-size runs, each closed by a variable tail.
+
+    Yields ``(items, tail)``. ``items`` lists ``(format char, byte size,
+    field)`` for each fixed-size piece of the run, in wire order: a
+    non-str scalar, a child id, or (field None, always last) the int32
+    length/count prefix of ``tail``. ``tail`` is the str scalar or list
+    field whose variable-size data follows the run, or None at the end
+    of the payload. The packed decoder unpacks each run with one
+    ``struct.unpack_from``; the packed skip checks each with one bound.
+    """
+    items: List[tuple] = []
+    for field in schema:
+        if field.role == "scalar" and field.kind != "str":
+            char, size = _PACK_FIXED[field.kind]
+            items.append((char, size, field))
+        elif field.role == "child":
+            items.append(("i", 4, field))
+        else:  # str scalar or a list: int32 prefix, then its data
+            items.append(("i", 4, None))
+            yield items, field
+            items = []
+    if items:
+        yield items, None
+
+
+def _at(off: int) -> str:
+    """The generated expression for offset ``off`` past the local ``p``."""
+    return f"p + {off}" if off else "p"
+
+
+def _element_size(field: FieldSpec) -> Optional[tuple]:
+    """``(format char, size)`` of a list field's elements; None for str."""
+    if field.role == "child_list":
+        return _PACK_FIXED["int"]
+    return _PACK_FIXED.get(field.kind)
+
+
+def _generate_restore_packed(schema: List[FieldSpec]) -> str:
+    """Generate ``restore_packed``: decode one payload into ``self``.
+
+    Every slot is set from ``buf`` starting at offset ``p``; child ids
+    resolve through ``objects`` (id → object), whose ``KeyError`` the
+    caller reports as an unknown id. The payload must already have
+    passed ``skip_packed``, which checks every length and boolean, so
+    decoding does no bounds checks of its own.
+    """
+    lines = ["def restore_packed(self, buf, p, objects):"]
+    off = 0  # static offset from the local ``p``
+    for items, tail in _payload_runs(schema):
+        targets = []  # scalars unpack straight into their slots
+        children = []  # (slot, temp): child ids resolved after the unpack
+        for index, (_, _, field) in enumerate(items):
+            if field is None:
+                targets.append("_n")
+            elif field.role == "scalar":
+                targets.append(f"self.{field.slot}")
+            else:
+                targets.append(f"_c{index}")
+                children.append((field.slot, f"_c{index}"))
+        fmt = "<" + "".join(item[0] for item in items)
+        lhs = ", ".join(targets) + ("," if len(targets) == 1 else "")
+        lines.append(f"    {lhs} = _unpack_from({fmt!r}, buf, {_at(off)})")
+        for slot, temp in children:
+            lines.append(
+                f"    self.{slot} = objects[{temp}] if {temp} != -1 else None"
+            )
+        off += sum(item[1] for item in items)
+        if tail is None:
+            continue
+        lines.append(f"    p += {off}")
+        off = 0
+        slot = f"self.{tail.slot}"
+        if tail.role == "scalar":  # str
+            lines.append(f"    {slot} = buf[p:p + _n].decode('utf-8')")
+            lines.append("    p += _n")
+            continue
+        element = _element_size(tail)
+        if element is None:  # str list
+            lines.append("    _v = []")
+            lines.append("    for _ in range(_n):")
+            lines.append("        _l, = _unpack_from('<i', buf, p)")
+            lines.append("        p += 4")
+            lines.append("        _v.append(buf[p:p + _l].decode('utf-8'))")
+            lines.append("        p += _l")
+        else:
+            char, size = element
+            # a negative count reads as an empty list, as it always has
+            lines.append("    if _n < 0:")
+            lines.append("        _n = 0")
+            unpacked = f"_unpack_from('<%d{char}' % _n, buf, p)"
+            if tail.role == "child_list":
+                lines.append(f"    _v = list(map(objects.__getitem__, {unpacked}))")
+            else:
+                lines.append(f"    _v = list({unpacked})")
+            lines.append(f"    p += {size} * _n")
+        lines.append("    _t = _new(TrackedList)")
+        lines.append("    _t._owner = self")
+        lines.append("    _t._items = _v")
+        lines.append(f"    _t._topo = {tail.role == 'child_list'}")
+        lines.append(f"    {slot} = _t")
     if not schema:
         lines.append("    pass")
-        return "\n".join(lines)
-    for field in schema:
-        slot = f"self.{field.slot}"
-        if field.role == "scalar":
-            lines.append(f"    {slot} = {_READERS[field.kind]}()")
-        elif field.role == "scalar_list":
-            reader = _READERS[field.kind]
-            lines.append("    _n = inp.read_int32()")
-            lines.append(
-                f"    {slot} = TrackedList(self, [{reader}() for _ in range(_n)])"
-            )
-        elif field.role == "child":
-            lines.append("    _cid = inp.read_int32()")
-            lines.append(f"    {slot} = table[_cid] if _cid != -1 else None")
-        elif field.role == "child_list":
-            lines.append("    _n = inp.read_int32()")
-            lines.append(
-                f"    {slot} = TrackedList(self, "
-                "[table[inp.read_int32()] for _ in range(_n)], topo=True)"
-            )
     return "\n".join(lines)
+
+
+def _generate_skip_packed(schema: List[FieldSpec]) -> str:
+    """Generate ``skip_packed``: the end offset of the payload at ``p``.
+
+    The length-only walk restore uses for superseded records and to
+    find where each record ends. It reads only length and count
+    prefixes, but checks what a field-by-field read would: every piece
+    lies within ``buf[:n]``, no string length is negative and every
+    boolean byte is 0 or 1. Errors report offsets relative to ``base``,
+    the payload stream's position in its recovery line.
+    """
+    lines = ["def skip_packed(buf, p, n, base):"]
+    off = 0
+    for items, tail in _payload_runs(schema):
+        size = sum(item[1] for item in items)
+        fields = tuple((item[1], item[0] == "?") for item in items)
+        lines.append(f"    if p + {off + size} > n:")
+        lines.append(
+            f"        raise _run_error(buf, {_at(off)}, n, base, {fields!r})"
+        )
+        at = off
+        for char, item_size, _ in items:
+            if char == "?":
+                lines.append(f"    if buf[{_at(at)}] > 1:")
+                lines.append(
+                    f"        raise _invalid_bool(buf[{_at(at)}], base + {_at(at)})"
+                )
+            at += item_size
+        off += size
+        if tail is None:
+            continue
+        prefix = "_l" if tail.role == "scalar" else "_n"
+        lines.append(f"    {prefix}, = _unpack_from('<i', buf, {_at(off - 4)})")
+        lines.append(f"    p += {off}")
+        off = 0
+        element = _element_size(tail)
+        if tail.role == "scalar" or element is None:  # str, or str list
+            indent = "    "
+            if tail.role == "scalar_list":
+                lines.append("    for _ in range(_n):")
+                lines.append("        if p + 4 > n:")
+                lines.append("            raise _truncated(4, base + p, n - p)")
+                lines.append("        _l, = _unpack_from('<i', buf, p)")
+                lines.append("        p += 4")
+                indent = "        "
+            lines.append(f"{indent}if _l < 0:")
+            lines.append(f"{indent}    raise _negative_length(_l, base + p - 4)")
+            lines.append(f"{indent}if p + _l > n:")
+            lines.append(f"{indent}    raise _truncated(_l, base + p, n - p)")
+            lines.append(f"{indent}p += _l")
+            continue
+        char, item_size = element
+        check = "_e > n"
+        if char == "?":
+            check += " or max(buf[p:_e]) > 1"
+        lines.append("    if _n > 0:")
+        lines.append(f"        _e = p + {item_size} * _n")
+        lines.append(f"        if {check}:")
+        lines.append(
+            f"            raise _run_error(buf, p, n, base, "
+            f"_repeat(({item_size}, {char == '?'}), _n))"
+        )
+        lines.append("        p = _e")
+    lines.append(f"    return {_at(off)}")
+    return "\n".join(lines)
+
+
+def _fixed_span(schema: List[FieldSpec]) -> int:
+    """Payload size of a schema of fixed-size, non-bool fields; else -1.
+
+    Restore steps over such a record by arithmetic alone: its bytes need
+    no checks beyond fitting in the stream.
+    """
+    span = 0
+    for items, tail in _payload_runs(schema):
+        if tail is not None or any(item[0] == "?" for item in items):
+            return -1
+        span += sum(item[1] for item in items)
+    return span
 
 
 def _generate_init_defaults(schema: List[FieldSpec]) -> str:
@@ -256,7 +417,8 @@ def _generate_init_defaults(schema: List[FieldSpec]) -> str:
 _GENERATORS = {
     "record": _generate_record,
     "fold": _generate_fold,
-    "restore_local": _generate_restore_local,
+    "restore_packed": _generate_restore_packed,
+    "skip_packed": _generate_skip_packed,
     "_init_defaults": _generate_init_defaults,
 }
 
@@ -267,6 +429,13 @@ def _compile_method(cls_name: str, name: str, source: str):
         "_pack_into": struct.pack_into,
         "_INT32": struct.Struct("<i"),
         "_DataOutputStream": DataOutputStream,
+        "_unpack_from": struct.unpack_from,
+        "_new": object.__new__,
+        "_repeat": itertools.repeat,
+        "_run_error": run_error,
+        "_truncated": truncated,
+        "_invalid_bool": invalid_bool,
+        "_negative_length": negative_length,
     }
     code = compile(source, f"<ckpt-gen:{cls_name}.{name}>", "exec")
     exec(code, namespace)
@@ -329,6 +498,8 @@ class Checkpointable(metaclass=_CheckpointableMeta):
 
     _ckpt_schema: ClassVar[List[FieldSpec]] = []
     _ckpt_serial: ClassVar[int] = -1
+    #: payload byte size when every field is fixed-size and no bool, else -1
+    _ckpt_span: ClassVar[int] = 0
     _ckpt_registry: ClassVar[ClassRegistry]
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
@@ -357,11 +528,18 @@ class Checkpointable(metaclass=_CheckpointableMeta):
         cls._ckpt_registry = registry
         cls._ckpt_serial = registry.register(cls, cls._ckpt_schema)
 
+        # a hand-written skip may read more than the schema says
+        cls._ckpt_span = (
+            -1 if "skip_packed" in vars(cls) else _fixed_span(cls._ckpt_schema)
+        )
         for method_name, generator in _GENERATORS.items():
             if method_name in vars(cls):
                 continue  # the class body supplies its own implementation
             source = generator(cls._ckpt_schema)
-            setattr(cls, method_name, _compile_method(cls.__name__, method_name, source))
+            method = _compile_method(cls.__name__, method_name, source)
+            if method_name == "skip_packed":
+                method = staticmethod(method)
+            setattr(cls, method_name, method)
 
         if "record_packed" not in vars(cls):
             # Schema-driven packed codegen is only valid when `record`
@@ -426,24 +604,24 @@ class Checkpointable(metaclass=_CheckpointableMeta):
         """Recursively apply ``ckpt.checkpoint`` to each child (generated)."""
         raise NotImplementedError
 
-    def restore_local(self, inp, table) -> None:  # pragma: no cover
-        """Read the local state back from ``inp`` (generated)."""
+    def restore_packed(self, buf, pos, objects) -> None:  # pragma: no cover
+        """Set every field from the payload at ``buf[pos:]`` (generated).
+
+        Child ids resolve through ``objects``, an id → object dict. The
+        payload must have passed :meth:`skip_packed` first.
+        """
+        raise NotImplementedError
+
+    @staticmethod
+    def skip_packed(buf, pos, end, base) -> int:  # pragma: no cover
+        """Check the payload at ``buf[pos:end]``; return where it ends
+        (generated). ``base`` offsets error positions into the line."""
         raise NotImplementedError
 
     def _init_defaults(self) -> None:  # pragma: no cover - replaced per class
         pass
 
     # -- framework helpers --------------------------------------------------
-
-    @classmethod
-    def _blank(cls, object_id: int) -> "Checkpointable":
-        """An uninitialized instance used by restore (bypasses ``__init__``)."""
-        obj = cls.__new__(cls)
-        obj._ckpt_id = object_id
-        obj._ckpt_dirty = False
-        obj._ckpt_block = None
-        obj._init_defaults()
-        return obj
 
     def children(self) -> List["Checkpointable"]:
         """All non-None child objects, in schema order (reflective)."""

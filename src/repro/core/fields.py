@@ -14,9 +14,10 @@ a checkpointable class declares its state as
         writes = scalar_list("int")
 
 and the framework derives, per class, the wire schema and the generated
-``record``/``fold``/``restore_local`` methods. Every assignment through a
-descriptor sets the owner's modification flag, which is what makes the
-incremental checkpoints of the paper safe without any programmer effort.
+``record``/``fold``/``restore_packed``/``skip_packed`` methods. Every
+assignment through a descriptor sets the owner's modification flag, which
+is what makes the incremental checkpoints of the paper safe without any
+programmer effort.
 That write barrier is :func:`repro.core.info.mark_modified`: the flag
 store on the owner's ``_ckpt_dirty`` slot plus, once the owner is
 partitioned, its block's generation bump. Scalar writes and

@@ -1,17 +1,26 @@
 """Recovery: rebuilding object state from checkpoint streams.
 
 A recovery line is a *base* checkpoint (normally a full checkpoint)
-followed by zero or more *incremental* deltas. Restoration proceeds by
+followed by zero or more *incremental* deltas. The state it stands for
+is, per identifier, the payload of the newest record of that id. Replay
+therefore walks the line newest-first and builds each object once:
 
-1. materializing a blank object for every identifier seen in a stream
-   that is not already known (class serials in the entries say which
-   class to instantiate), then
-2. applying every entry's payload in stream order, resolving child
-   references through the object table.
+1. *Index.* Every record's header is read and its class checked against
+   the class already decided for its id (a mismatch is an error). The
+   first record of an id in this walk wins: the object is materialized
+   from ``cls.__new__`` and the three header slots, and its payload
+   position is kept. Every payload, winner or superseded, is stepped
+   over by the class's generated ``skip_packed`` (or by its fixed size),
+   which checks lengths and booleans and so rejects truncated or garbled
+   records anywhere in the line.
+2. *Decode.* Each winning payload is decoded once by the class's
+   generated ``restore_packed``: fused ``struct.unpack_from`` calls over
+   the bytes, with child ids resolved through the now complete id table
+   (forward references included).
 
-Because the paper's incremental traversal records a modified parent before
-any newly-created children it references, each stream is processed in two
-passes so that forward references resolve.
+Decode errors report offsets within the whole line (the epochs laid end
+to end), so an fsck quarantine line points at the failing record. The
+id allocator is advanced once per replay, past the largest id read.
 
 The resulting :class:`ObjectTable` maps identifiers to live objects; all
 restored objects have their modification flag clear.
@@ -19,15 +28,25 @@ restored objects have their modification flag clear.
 
 from __future__ import annotations
 
+import gc
 import hashlib
-from typing import Dict, Iterable, List, Optional
+import struct
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.checkpointable import Checkpointable
 from repro.core.errors import RestoreError
-from repro.core.fields import FieldSpec
 from repro.core.ids import DEFAULT_ALLOCATOR
 from repro.core.registry import DEFAULT_REGISTRY, ClassRegistry
-from repro.core.streams import DataInputStream
+from repro.core.streams import run_error
+
+_HEADER = struct.Struct("<ii")
+#: the header's fields, for :func:`~repro.core.streams.run_error`
+_HEADER_FIELDS = ((4, False), (4, False))
+
+
+def _unknown_id(object_id: int) -> RestoreError:
+    return RestoreError(f"checkpoint references unknown object id {object_id}")
 
 
 class ObjectTable:
@@ -40,13 +59,10 @@ class ObjectTable:
         try:
             return self._objects[object_id]
         except KeyError:
-            raise RestoreError(f"checkpoint references unknown object id {object_id}")
+            raise _unknown_id(object_id) from None
 
     def get(self, object_id: int) -> Optional[Checkpointable]:
         return self._objects.get(object_id)
-
-    def add(self, obj: Checkpointable) -> None:
-        self._objects[obj._ckpt_id] = obj
 
     def __contains__(self, object_id: int) -> bool:
         return object_id in self._objects
@@ -60,92 +76,108 @@ class ObjectTable:
     def objects(self) -> Iterable[Checkpointable]:
         return self._objects.values()
 
-    def max_id(self) -> int:
-        """Largest identifier in the table (−1 when empty)."""
-        return max(self._objects, default=-1)
 
-
-def _skip_payload(inp: DataInputStream, schema: List[FieldSpec]) -> None:
-    """Advance ``inp`` past one payload without interpreting references."""
-    for field in schema:
-        if field.role == "scalar":
-            _skip_scalar(inp, field.kind)
-        elif field.role == "scalar_list":
-            count = inp.read_int32()
-            for _ in range(count):
-                _skip_scalar(inp, field.kind)
-        elif field.role == "child":
-            inp.read_int32()
-        else:  # child_list
-            count = inp.read_int32()
-            for _ in range(count):
-                inp.read_int32()
-
-
-def _skip_scalar(inp: DataInputStream, kind: str) -> None:
-    if kind == "int":
-        inp.read_int32()
-    elif kind == "float":
-        inp.read_float64()
-    elif kind == "bool":
-        inp.read_bool()
-    else:
-        inp.read_str()
-
-
-def apply_stream(
-    data: bytes,
+def _apply_line(
     table: ObjectTable,
-    registry: Optional[ClassRegistry] = None,
-    serial_translation: Optional[Dict[int, int]] = None,
+    streams: Sequence[bytes],
+    registry: Optional[ClassRegistry],
+    serial_translation: Optional[Dict[int, int]],
     base_offset: int = 0,
 ) -> int:
-    """Apply one checkpoint stream to ``table`` (creating objects as needed).
+    """Fold ``streams`` (oldest first, laid end to end from
+    ``base_offset``) into ``table``; returns the number of records read.
 
-    Returns the number of entries applied. Raises :class:`RestoreError`
-    on truncation, unknown serials, or a class mismatch between an entry
-    and an existing object.
-
-    ``base_offset`` is this stream's position within the containing
-    recovery line: decode errors report ``base_offset``-adjusted offsets,
-    so that after a multi-epoch replay an fsck quarantine line points at
-    the right record rather than an intra-record offset.
+    Objects already in the table are decoded in place, so references to
+    them from outside the line stay valid. Within one stream the first
+    record of an id wins: a stream is one instant, so every record of an
+    id in it carries the same state (a full checkpoint of a shared
+    object records it once per path).
     """
     registry = registry or DEFAULT_REGISTRY
+    objects = table._objects
+    # ids decided by this line, in decision order; a fresh table takes
+    # them directly
+    found = objects if not objects else {}
+    kinds: Dict[int, tuple] = {}  # raw serial -> (class, span, skip)
 
-    # Pass 1: check entries, materialize blanks for unseen identifiers.
-    inp = DataInputStream(data, base_offset)
-    count = 0
-    while not inp.at_eof:
-        object_id = inp.read_int32()
-        serial = inp.read_int32()
+    def kind_of(serial: int) -> tuple:
         if serial_translation is not None:
             try:
                 serial = serial_translation[serial]
             except KeyError:
                 raise RestoreError(f"class serial {serial} missing from manifest")
         cls = registry.class_for(serial)
-        count += 1
-        existing = table.get(object_id)
-        if existing is None:
-            table.add(cls._blank(object_id))
-        elif type(existing) is not cls:
-            raise RestoreError(
-                f"object id {object_id} recorded as {cls.__name__} but the "
-                f"table holds a {type(existing).__name__}"
-            )
-        _skip_payload(inp, registry.schema_of(cls))
+        return cls, cls._ckpt_span, cls.skip_packed
 
-    # Pass 2: apply payloads now that every referenced object can exist.
-    # Pass 1 checked each entry's class against the table, so the id
-    # alone finds the object; the serial is skipped.
-    inp = DataInputStream(data, base_offset)
-    for _ in range(count):
-        obj = table[inp.read_int32()]
-        inp.read_int32()
-        obj.restore_local(inp, table)
-        obj._ckpt_dirty = False
-    return count
+    offsets = [base_offset]
+    for data in streams:
+        offsets.append(offsets[-1] + len(data))
+    new = object.__new__
+    header = _HEADER.unpack_from
+    records = 0
+    top = -1
+    winners: List[tuple] = []  # (stream, payload offsets), newest first
+    was_enabled = gc.isenabled()
+    gc.disable()  # the replay allocates only live objects: nothing to collect
+    try:
+        # Index: newest stream first, each stream front to back.
+        for index in range(len(streams) - 1, -1, -1):
+            data = streams[index]
+            base = offsets[index]
+            positions = array("I")  # 4 bytes per winner, no boxed ints
+            n = len(data)
+            p = 0
+            while p < n:
+                if p + 8 > n:
+                    raise run_error(data, p, n, base, _HEADER_FIELDS)
+                object_id, serial = header(data, p)
+                try:
+                    cls, span, skip = kinds[serial]
+                except KeyError:
+                    cls, span, skip = kinds[serial] = kind_of(serial)
+                records += 1
+                if object_id > top:
+                    top = object_id
+                if object_id in found:
+                    decided = found[object_id]
+                elif object_id in objects:
+                    decided = found[object_id] = objects[object_id]
+                    decided._ckpt_dirty = False
+                    positions.append(p + 8)
+                else:
+                    decided = found[object_id] = new(cls)
+                    decided._ckpt_id = object_id
+                    decided._ckpt_dirty = False
+                    decided._ckpt_block = None
+                    positions.append(p + 8)
+                if type(decided) is not cls:
+                    raise RestoreError(
+                        f"object id {object_id} recorded as {cls.__name__} but "
+                        f"the table holds a {type(decided).__name__}"
+                    )
+                end = p + 8 + span
+                if span < 0 or end > n:
+                    end = skip(data, p + 8, n, base)
+                p = end
+            winners.append((data, positions))
+        if found is not objects:
+            objects.update(found)
+        # Decode: every winner once, in the reverse of the order the index
+        # decided them, so the base's offsets (usually the most) are the
+        # first dropped.
+        decided_objects = reversed(found.values())
+        try:
+            while winners:
+                data, positions = winners.pop()
+                for p, obj in zip(reversed(positions), decided_objects):
+                    obj.restore_packed(data, p, objects)
+        except KeyError as exc:
+            raise _unknown_id(exc.args[0]) from None
+    finally:
+        if was_enabled:
+            gc.enable()
+    DEFAULT_ALLOCATOR.advance_past(top)
+    return records
 
 
 def restore_full(
@@ -154,10 +186,7 @@ def restore_full(
     serial_translation: Optional[Dict[int, int]] = None,
 ) -> ObjectTable:
     """Rebuild an object table from a base (full) checkpoint."""
-    table = ObjectTable()
-    apply_stream(data, table, registry, serial_translation)
-    DEFAULT_ALLOCATOR.advance_past(table.max_id())
-    return table
+    return replay(data, (), registry, serial_translation)
 
 
 def apply_incremental(
@@ -168,10 +197,12 @@ def apply_incremental(
     base_offset: int = 0,
 ) -> int:
     """Fold one incremental delta into an existing table; returns the
-    number of entries applied."""
-    applied = apply_stream(data, table, registry, serial_translation, base_offset)
-    DEFAULT_ALLOCATOR.advance_past(table.max_id())
-    return applied
+    number of entries applied.
+
+    Objects the delta records that the table already holds are
+    overwritten in place; the id allocator advances past the delta's ids.
+    """
+    return _apply_line(table, [data], registry, serial_translation, base_offset)
 
 
 def replay(
@@ -186,13 +217,8 @@ def replay(
     reporting: a decode failure in the k-th delta names its offset within
     the whole line, so the failing record can be located directly.
     """
-    table = restore_full(base, registry, serial_translation)
-    offset = len(base)
-    for delta in deltas:
-        apply_incremental(
-            table, delta, registry, serial_translation, base_offset=offset
-        )
-        offset += len(delta)
+    table = ObjectTable()
+    _apply_line(table, [base, *deltas], registry, serial_translation)
     return table
 
 

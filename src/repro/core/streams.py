@@ -20,6 +20,7 @@ str                   int32 byte length + UTF-8 bytes
 from __future__ import annotations
 
 import struct
+from typing import Iterable, Tuple
 
 from repro.core.errors import RestoreError, SerializationError
 
@@ -62,6 +63,44 @@ def _check_str_length(byte_length: int) -> None:
             f"string of {byte_length} UTF-8 bytes exceeds the int32 length "
             f"prefix (max {INT32_MAX})"
         )
+
+
+def truncated(count: int, offset: int, have: int) -> RestoreError:
+    """The error for a read of ``count`` bytes at ``offset`` with ``have`` left."""
+    return RestoreError(
+        f"truncated stream: wanted {count} bytes at offset {offset}, have {have}"
+    )
+
+
+def invalid_bool(byte: int, offset: int) -> RestoreError:
+    """The error for a boolean byte other than 0 or 1."""
+    return RestoreError(f"invalid boolean byte {byte!r} at offset {offset}")
+
+
+def negative_length(length: int, offset: int) -> RestoreError:
+    """The error for a string length prefix below zero."""
+    return RestoreError(f"negative string length {length} at offset {offset}")
+
+
+def run_error(
+    data: bytes, pos: int, end: int, base: int, fields: Iterable[Tuple[int, bool]]
+) -> RestoreError:
+    """The first error a field-by-field read of a fixed-size run meets.
+
+    ``fields`` gives ``(byte size, is_bool)`` per field of the run that
+    starts at ``data[pos]``; ``end`` is the end of the readable data and
+    ``base`` the offset of ``data`` within its recovery line. The packed
+    readers check a whole run at once and call this only once a check
+    failed, so their errors name the same field, offset and byte count a
+    :class:`DataInputStream` read would.
+    """
+    for size, is_bool in fields:
+        if pos + size > end:
+            return truncated(size, base + pos, end - pos)
+        if is_bool and data[pos] > 1:
+            return invalid_bool(data[pos], base + pos)
+        pos += size
+    raise AssertionError("run_error called on a well-formed run")
 
 
 class DataOutputStream:
@@ -198,10 +237,7 @@ class DataInputStream:
         start = self._pos
         end = start + count
         if end > len(self._data):
-            raise RestoreError(
-                f"truncated stream: wanted {count} bytes at offset "
-                f"{self._base + start}, have {len(self._data) - start}"
-            )
+            raise truncated(count, self._base + start, len(self._data) - start)
         self._pos = end
         return start
 
@@ -222,19 +258,14 @@ class DataInputStream:
         start = self._take(1)
         byte = self._data[start]
         if byte not in (0, 1):
-            raise RestoreError(
-                f"invalid boolean byte {byte!r} at offset {self._base + start}"
-            )
+            raise invalid_bool(byte, self._base + start)
         return byte == 1
 
     def read_str(self) -> str:
         """Read a length-prefixed UTF-8 string."""
         length = self.read_int32()
         if length < 0:
-            raise RestoreError(
-                f"negative string length {length} at offset "
-                f"{self._base + self._pos - 4}"
-            )
+            raise negative_length(length, self._base + self._pos - 4)
         start = self._take(length)
         return self._data[start : start + length].decode("utf-8")
 

@@ -149,6 +149,21 @@ class TestPersistenceAndRecovery:
         recovered = AnalysisEngine.recover(tiny, store, division=image_division())
         assert state_digest(recovered.attributes, include_ids=True) == before
 
+    def test_recover_builds_no_throwaway_table(self, tiny, monkeypatch):
+        # recovery replays the store and adopts its table; a fresh
+        # table for the program would only be dropped
+        store = MemoryStore()
+        engine = AnalysisEngine(tiny, division=image_division(), store=store)
+        engine.run()
+        before = state_digest(engine.attributes, include_ids=True)
+
+        def refuse(cls, node_count):
+            raise AssertionError("recover built a fresh AttributesTable")
+
+        monkeypatch.setattr(AttributesTable, "for_program", classmethod(refuse))
+        recovered = AnalysisEngine.recover(tiny, store, division=image_division())
+        assert state_digest(recovered.attributes, include_ids=True) == before
+
     def test_recover_rejects_different_program(self, tiny):
         store = MemoryStore()
         AnalysisEngine(tiny, division=image_division(), store=store).run()

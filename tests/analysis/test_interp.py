@@ -118,7 +118,9 @@ class TestControlAndState:
         assert state["r"] == 7
 
     def test_fuel_exhaustion(self):
-        with pytest.raises(InterpreterError, match="fuel"):
+        with pytest.raises(
+            InterpreterError, match=r"fuel exhausted after 1,000 steps.*fuel=.*--fuel"
+        ):
             run_program(
                 "int x = 1;\nvoid main() { while (x) { x = 1; } }", fuel=1000
             )

@@ -20,14 +20,14 @@ from repro.core.fields import child
 def _entry_ids(data: bytes):
     """Object ids recorded in a checkpoint stream, in order."""
     from repro.core.registry import DEFAULT_REGISTRY
-    from repro.core.restore import _skip_payload
 
     inp = DataInputStream(data)
     ids = []
     while not inp.at_eof:
         ids.append(inp.read_int32())
         cls = DEFAULT_REGISTRY.class_for(inp.read_int32())
-        _skip_payload(inp, DEFAULT_REGISTRY.schema_of(cls))
+        end = cls.skip_packed(data, inp.position, len(data), 0)
+        inp.read_bytes(end - inp.position)
     return ids
 
 

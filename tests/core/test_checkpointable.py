@@ -13,18 +13,28 @@ from repro.core.checkpointable import (
 )
 from repro.core.errors import SchemaError
 from repro.core.registry import DEFAULT_REGISTRY
-from repro.core.restore import state_digest
+from repro.core.restore import restore_full, state_digest
 from repro.core.streams import DataInputStream, DataOutputStream
 from repro.synthetic.structures import element_class
 from tests.conftest import Leaf, Mid, Root, build_root, make_class
 from repro.core.fields import child, child_list, scalar
 
 
+def _restored(obj):
+    """``obj``'s twin, rebuilt by restore from a full checkpoint of it."""
+    full = FullCheckpoint()
+    full.checkpoint(obj)
+    twin = restore_full(full.getvalue())[obj._ckpt_id]
+    assert twin is not obj
+    return twin
+
+
 class TestGeneratedMethods:
     def test_methods_are_generated(self):
         assert getattr(Leaf.record, "__ckpt_generated__", False)
         assert getattr(Leaf.fold, "__ckpt_generated__", False)
-        assert getattr(Leaf.restore_local, "__ckpt_generated__", False)
+        assert getattr(Leaf.restore_packed, "__ckpt_generated__", False)
+        assert getattr(Leaf.skip_packed, "__ckpt_generated__", False)
         assert "write_int32" in Leaf.record.__ckpt_source__
 
     def test_record_payload_layout(self):
@@ -149,10 +159,13 @@ class TestRegistry:
 
 class TestBlankAndChildren:
     def test_blank_bypasses_init(self):
-        blank = Leaf._blank(777)
-        assert blank._ckpt_id == 777
+        # restore builds objects from cls.__new__ plus the header slots:
+        # no fresh id, no modified flag
+        leaf = Leaf(value=7)
+        blank = _restored(leaf)
+        assert blank._ckpt_id == leaf._ckpt_id
         assert not blank._ckpt_dirty
-        assert blank.value == 0
+        assert blank.value == 7
 
     def test_children_reflects_structure(self, root):
         assert root.children() == [root.mid, root.extra, root.kids[0], root.kids[1]]
@@ -175,7 +188,7 @@ class TestSlotLayout:
 
     def test_instances_have_no_dict(self):
         root = build_root()
-        for obj in (root, root.mid, root.mid.leaf, Leaf._blank(4242)):
+        for obj in (root, root.mid, root.mid.leaf, _restored(Leaf())):
             assert not hasattr(obj, "__dict__")
         assert Leaf.__slots__ == ("_f_value", "_f_weight", "_f_label", "_f_flag")
 
@@ -257,9 +270,8 @@ class TestInheritance:
             recorded_ids.append(inp.read_int32())
             serial = inp.read_int32()
             cls = DEFAULT_REGISTRY.class_for(serial)
-            from repro.core.restore import _skip_payload
-
-            _skip_payload(inp, DEFAULT_REGISTRY.schema_of(cls))
+            end = cls.skip_packed(data, inp.position, len(data), 0)
+            inp.read_bytes(end - inp.position)
         assert root._ckpt_id in recorded_ids
         assert fresh._ckpt_id in recorded_ids
 

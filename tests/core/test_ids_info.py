@@ -1,11 +1,13 @@
 """Unit tests for identifier allocation and CheckpointInfo."""
 
+import struct
 import threading
 
 from repro.core.checkpointable import Checkpointable
 from repro.core.fields import scalar
 from repro.core.ids import DEFAULT_ALLOCATOR, IdAllocator
 from repro.core.info import CheckpointInfo
+from repro.core.restore import restore_full
 
 
 class TestIdAllocator:
@@ -64,7 +66,9 @@ class TestCheckpointInfo:
         assert info.modified  # a new object must appear in the next checkpoint
 
     def test_explicit_id(self):
-        info = InfoProbe._blank(42).get_checkpoint_info()
+        # a restored object keeps the id its record names
+        record = struct.pack("<iii", 42, InfoProbe._ckpt_serial, 0)
+        info = restore_full(record)[42].get_checkpoint_info()
         assert info.object_id == 42
         assert not info.modified
 

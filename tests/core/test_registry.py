@@ -43,7 +43,6 @@ class TestSerialTranslation:
         serial_to_shifted = {s: s + 7 for s in manifest.values()}
 
         from repro.core.registry import DEFAULT_REGISTRY as reg
-        from repro.core.restore import _skip_payload
         from repro.core.streams import DataInputStream, DataOutputStream
 
         inp = DataInputStream(data)
@@ -54,8 +53,8 @@ class TestSerialTranslation:
             out.write_int32(serial_to_shifted[serial])
             cls = reg.class_for(serial)
             start = inp.position
-            _skip_payload(inp, reg.schema_of(cls))
-            out.write_bytes(inp.read_bytes(0) or data[start : inp.position])
+            end = cls.skip_packed(data, start, len(data), 0)
+            out.write_bytes(inp.read_bytes(end - start))
         foreign = out.getvalue()
 
         translation = reg.serial_translation(shifted_manifest)

@@ -1,5 +1,8 @@
 """Unit tests for restore/replay and state comparison."""
 
+import random
+import sys
+
 import pytest
 
 from repro.core.checkpoint import Checkpoint, FullCheckpoint, collect_objects, reset_flags
@@ -12,7 +15,10 @@ from repro.core.restore import (
     state_digest,
     structurally_equal,
 )
+from repro.core.storage import FileStore
 from repro.core.streams import DataOutputStream
+from repro.runtime import CheckpointSession, EpochPolicy
+from repro.synthetic.structures import build_structures, structure_objects
 from tests.conftest import Leaf, Mid, Root, build_root, make_class
 from repro.core.fields import child
 
@@ -48,7 +54,7 @@ class TestRestoreFull:
 
     def test_forward_child_references_resolve(self, root):
         # Parent entries precede their children in the stream; restoration
-        # must resolve the forward ids (two-pass).
+        # must resolve the forward ids (index first, then decode).
         table = restore_full(_full_bytes(root))
         recovered = table[root._ckpt_id]
         assert recovered.mid.leaf.value == root.mid.leaf.value
@@ -109,6 +115,25 @@ class TestIncrementalReplay:
         recovered = replay(base, [first, second])[root._ckpt_id]
         assert recovered.mid.leaf.value == 2
 
+    def test_winner_references_id_recorded_only_in_base(self, root):
+        base = _full_bytes(root)
+        root.name = "renamed"  # only the root is recorded again
+        table = replay(base, [_delta_bytes(root)])
+        recovered = table[root._ckpt_id]
+        assert recovered.name == "renamed"
+        assert recovered.mid is table[root.mid._ckpt_id]
+        assert recovered.mid.leaf.label == "seven"
+
+    def test_apply_incremental_overwrites_existing_objects(self, root):
+        table = restore_full(_full_bytes(root))
+        leaf = table[root.mid.leaf._ckpt_id]
+        root.mid.leaf.value = 99
+        assert apply_incremental(table, _delta_bytes(root)) == 1
+        # decoded in place: references from the rest of the table hold
+        assert table[root.mid.leaf._ckpt_id] is leaf
+        assert table[root.mid._ckpt_id].leaf is leaf
+        assert leaf.value == 99 and not leaf._ckpt_dirty
+
     def test_replay_equals_live_after_random_history(self, root):
         import random
 
@@ -155,10 +180,86 @@ class TestErrors:
         with pytest.raises(RestoreError, match="recorded as"):
             apply_incremental(table, out.getvalue())
 
+    def test_truncated_superseded_record_reports_line_offset(self, root):
+        base = _full_bytes(root)
+        root.mid.leaf.value = 1
+        older = _delta_bytes(root)  # superseded by the next delta
+        root.mid.leaf.value = 2
+        newer = _delta_bytes(root)
+        cut = older[:-1]  # drop the record's closing bool
+        at = len(base) + len(cut)
+        with pytest.raises(RestoreError, match=f"wanted 1 bytes at offset {at}, have 0"):
+            replay(base, [cut, newer])
+
+    def test_garbled_superseded_record_reports_line_offset(self, root):
+        base = _full_bytes(root)
+        root.mid.leaf.value = 1
+        older = _delta_bytes(root)
+        root.mid.leaf.value = 2
+        newer = _delta_bytes(root)
+        garbled = older[:-1] + b"\x07"  # the closing bool is neither 0 nor 1
+        at = len(base) + len(older) - 1
+        with pytest.raises(RestoreError, match=f"invalid boolean byte 7 at offset {at}"):
+            replay(base, [garbled, newer])
+
+    def test_id_recorded_under_two_classes_across_epochs(self, root):
+        base = _full_bytes(root)
+        out = DataOutputStream()
+        out.write_int32(root.mid.leaf._ckpt_id)
+        out.write_int32(Mid._ckpt_serial)  # the base recorded it as a Leaf
+        Mid().record(out)
+        with pytest.raises(RestoreError, match="recorded as"):
+            replay(base, [out.getvalue()])
+
     def test_missing_serial_translation(self, root):
         base = _full_bytes(root)
         with pytest.raises(RestoreError, match="missing from manifest"):
             restore_full(base, serial_translation={})
+
+
+class TestReplayCost:
+    """Python calls per restored object in one cold ``FileStore.recover()``.
+
+    A gate on the replay's per-object work. The bound is the newest-first
+    packed replay's measured 5.3 calls per object on this chain (the
+    two-pass stream decoder it replaced took 51.7) with a little slack;
+    tighten it when replay gets cheaper, never loosen it.
+    """
+
+    CALLS_PER_OBJECT = 6.0
+
+    def test_recover_call_budget(self, tmp_path):
+        roots = build_structures(50, 5, 20, 1)
+        elements = [obj for c in roots for obj in structure_objects(c)[1:]]
+        session = CheckpointSession(
+            roots,
+            strategy="incremental",
+            sink=FileStore(str(tmp_path)),
+            policy=EpochPolicy.delta_only(),
+        )
+        session.base()
+        rng = random.Random(2024)
+        for _ in range(10):
+            for element in rng.sample(elements, 50):
+                element.v0 = rng.randint(0, 1000)
+            session.commit()
+        session.close()
+
+        store = FileStore(str(tmp_path))
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event in ("call", "c_call"):
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            table = store.recover()
+        finally:
+            sys.setprofile(None)
+        assert len(table) == 50 * 101
+        assert calls / len(table) < self.CALLS_PER_OBJECT
 
 
 class TestStateDigest:
